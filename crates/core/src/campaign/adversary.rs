@@ -15,15 +15,16 @@
 //!   execution window rather than at its boundary
 //!   ([`Adversary::arm_mid_window`]).
 //!
-//! Interior mutability (taps behind a `Mutex`) is required because the
-//! tapped trait methods (`trace_window`, `replay_output`) take `&self`,
-//! yet one-shot taps must disarm on first use.
+//! The tapped trait methods (`trace_window`, `replay_output`) take
+//! `&self`, yet one-shot taps must disarm on first use, so each tap lives
+//! in a `Cell`. One thread drives a substrate, so no lock is needed on a
+//! path the engine takes tens of thousands of times per epoch.
 
 use crate::substrate::ReliabilitySubstrate;
 use crate::EngineError;
-use parking_lot::Mutex;
 use r2d3_isa::Unit;
 use r2d3_pipeline_sim::{ActivityStats, StageId, StageRecord};
+use std::cell::Cell;
 
 /// Corrupts the checker's view of a stage's most recent traced output.
 #[derive(Debug, Clone, Copy)]
@@ -49,45 +50,45 @@ struct MidWindowShot {
     offset: u64,
 }
 
-#[derive(Debug, Default)]
-struct Taps {
-    checker: Option<CheckerTap>,
-    replay: Option<ReplayTap>,
-    mid_window: Option<MidWindowShot>,
-}
-
 /// A [`ReliabilitySubstrate`] decorator that injects faults into the
 /// engine's own sensing and recovery paths.
 #[derive(Debug)]
 pub struct Adversary<S> {
     inner: S,
-    taps: Mutex<Taps>,
+    checker: Cell<Option<CheckerTap>>,
+    replay: Cell<Option<ReplayTap>>,
+    mid_window: Cell<Option<MidWindowShot>>,
 }
 
 impl<S: ReliabilitySubstrate> Adversary<S> {
     /// Wraps a substrate with no taps armed.
     pub fn new(inner: S) -> Self {
-        Adversary { inner, taps: Mutex::new(Taps::default()) }
+        Adversary {
+            inner,
+            checker: Cell::new(None),
+            replay: Cell::new(None),
+            mid_window: Cell::new(None),
+        }
     }
 
     /// Arms checker-input corruption of `stage`: the newest record of the
     /// next compared window (every window when `persistent`) reports
     /// `actual_output ^ mask`.
     pub fn arm_checker_corrupt(&self, stage: StageId, mask: u32, persistent: bool) {
-        self.taps.lock().checker = Some(CheckerTap { stage, mask, persistent });
+        self.checker.set(Some(CheckerTap { stage, mask, persistent }));
     }
 
     /// Arms replay-register corruption: every `replay_output` of `stage`
     /// returns its true value XOR `mask` until quarantine removes the
     /// stage from all comparisons.
     pub fn arm_replay_corrupt(&self, stage: StageId, mask: u32) {
-        self.taps.lock().replay = Some(ReplayTap { stage, mask });
+        self.replay.set(Some(ReplayTap { stage, mask }));
     }
 
     /// Schedules a seeded transient on `stage`, `offset` cycles into the
     /// next `run` call (clamped to the call's span).
     pub fn arm_mid_window(&self, stage: StageId, seed: u64, offset: u64) {
-        self.taps.lock().mid_window = Some(MidWindowShot { stage, seed, offset });
+        self.mid_window.set(Some(MidWindowShot { stage, seed, offset }));
     }
 
     /// The wrapped substrate.
@@ -118,7 +119,7 @@ impl<S: ReliabilitySubstrate> ReliabilitySubstrate for Adversary<S> {
     }
 
     fn run(&mut self, cycles: u64) -> Result<(), EngineError> {
-        let shot = self.taps.lock().mid_window.take();
+        let shot = self.mid_window.take();
         match shot {
             Some(shot) if cycles > 1 => {
                 let offset = shot.offset.clamp(1, cycles - 1);
@@ -140,13 +141,12 @@ impl<S: ReliabilitySubstrate> ReliabilitySubstrate for Adversary<S> {
 
     fn trace_window(&self, stage: StageId, n: usize) -> Vec<StageRecord> {
         let mut window = self.inner.trace_window(stage, n);
-        let mut taps = self.taps.lock();
-        if let Some(tap) = taps.checker {
+        if let Some(tap) = self.checker.get() {
             if tap.stage == stage {
                 if let Some(last) = window.last_mut() {
                     last.actual_output ^= tap.mask;
                     if !tap.persistent {
-                        taps.checker = None;
+                        self.checker.set(None);
                     }
                 }
             }
@@ -156,7 +156,7 @@ impl<S: ReliabilitySubstrate> ReliabilitySubstrate for Adversary<S> {
 
     fn replay_output(&self, stage: StageId, record: &StageRecord) -> u32 {
         let out = self.inner.replay_output(stage, record);
-        match self.taps.lock().replay {
+        match self.replay.get() {
             Some(tap) if tap.stage == stage => out ^ tap.mask,
             _ => out,
         }

@@ -218,6 +218,7 @@ impl<C: Clone> CheckpointManager<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NetlistSubstrate, NetlistSubstrateConfig};
     use r2d3_isa::kernels::gemv;
     use r2d3_pipeline_sim::{System3d, SystemConfig};
 
@@ -341,6 +342,46 @@ mod tests {
         assert_eq!(mgr.stats().restores, 1);
         assert_eq!(mgr.stats().corruptions_detected, 0);
         assert_eq!(mgr.stats().poisoned_restores, 0);
+    }
+
+    /// Every seed's one-bit rot of `cp` must move its digest: the
+    /// integrity check sees nothing else.
+    fn assert_rot_always_changes_digest<S: ReliabilitySubstrate>(
+        cp: &S::Checkpoint,
+        seeds: impl IntoIterator<Item = u64>,
+    ) {
+        let clean = S::checkpoint_digest(cp);
+        for seed in seeds {
+            let mut rotted = cp.clone();
+            S::corrupt_checkpoint(&mut rotted, seed);
+            assert_ne!(S::checkpoint_digest(&rotted), clean, "seed {seed:#x} left the digest");
+        }
+    }
+
+    #[test]
+    fn corrupting_any_payload_word_changes_the_digest() {
+        // Behavioral: the seed's low half picks the payload word (pc, the
+        // 32 registers, then memory) and its high half the bit. Every
+        // word is hit, pc and registers at every bit.
+        let mut sys = loaded_system();
+        sys.run(5_000).unwrap();
+        let cp = sys.checkpoint_pipeline(0).unwrap();
+        let words = 1 + 32 + sys.pipeline(0).unwrap().memory().len() as u64;
+        let every_word = (0..words).map(|w| w | ((w * 7 % 32) << 32));
+        let every_bit = (0..33).flat_map(|w| (0..32).map(move |bit| w | (bit << 32)));
+        assert_rot_always_changes_digest::<System3d>(&cp, every_word.chain(every_bit));
+
+        // Gate level: the seed picks one of the 16 low stream-position
+        // bits, the only ones rot flips.
+        let mut sub = NetlistSubstrate::new(&NetlistSubstrateConfig {
+            layers: 2,
+            pipelines: 1,
+            trace_capacity: 64,
+            ..Default::default()
+        });
+        sub.run(2_000).unwrap();
+        let cp = sub.checkpoint_pipeline(0).unwrap();
+        assert_rot_always_changes_digest::<NetlistSubstrate>(&cp, 0..16);
     }
 
     #[test]

@@ -439,6 +439,13 @@ fn worker_loop(inner: &Arc<Inner>) {
                     return;
                 }
                 if let Some(e) = sched.pick() {
+                    // Logged before the queue lock drops, so the log
+                    // order is the pick order for any worker count.
+                    inner
+                        .dispatch_log
+                        .lock()
+                        .unwrap()
+                        .push(format!("{}:{:08x}.{}", e.client, e.job, e.unit));
                     break Some(e);
                 }
                 let (guard, timeout) =
@@ -453,11 +460,6 @@ fn worker_loop(inner: &Arc<Inner>) {
             }
         };
         let Some(entry) = entry else { continue };
-        inner
-            .dispatch_log
-            .lock()
-            .unwrap()
-            .push(format!("{}:{:08x}.{}", entry.client, entry.job, entry.unit));
         run_unit(inner, entry);
     }
 }

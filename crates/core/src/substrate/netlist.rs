@@ -18,7 +18,6 @@
 
 use super::ReliabilitySubstrate;
 use crate::EngineError;
-use parking_lot::Mutex;
 use r2d3_isa::Unit;
 use r2d3_netlist::netlist::{NetId, Netlist};
 use r2d3_netlist::stages::{stage_netlist, StageNetlist, StageSizing};
@@ -26,6 +25,7 @@ use r2d3_netlist::{FaultCone, FaultSim, SimScratch};
 use r2d3_pipeline_sim::{ActivityStats, Fabric, LinkFault, StageId, StageRecord, TraceRing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -131,7 +131,9 @@ struct PipeState {
 
 /// Folded per-lane output signatures, cached per input block. Entries are
 /// pure functions of `(seed, unit, block[, fault])`, so the cache never
-/// affects results — only evaluation count.
+/// affects results — only evaluation count. It sits in a `RefCell`
+/// because `replay_output` takes `&self`; one thread drives a substrate,
+/// so no lock is needed.
 #[derive(Default)]
 struct FoldCache {
     /// `(unit index, block)` → full good net-value vectors, shared by the
@@ -169,7 +171,7 @@ pub struct NetlistSubstrate {
     pipes: Vec<PipeState>,
     now: u64,
     stats: ActivityStats,
-    cache: Mutex<FoldCache>,
+    cache: RefCell<FoldCache>,
 }
 
 impl Clone for NetlistSubstrate {
@@ -191,7 +193,7 @@ impl Clone for NetlistSubstrate {
             pipes: self.pipes.clone(),
             now: self.now,
             stats: self.stats.clone(),
-            cache: Mutex::new(FoldCache::default()),
+            cache: RefCell::default(),
         }
     }
 }
@@ -315,7 +317,7 @@ impl NetlistSubstrate {
             pipes: vec![PipeState::default(); config.pipelines],
             now: 0,
             stats: ActivityStats::new(config.layers),
-            cache: Mutex::new(FoldCache::default()),
+            cache: RefCell::default(),
         }
     }
 
@@ -354,12 +356,12 @@ impl NetlistSubstrate {
     /// Full good net-value vector for `(unit, block)`, shared between the
     /// good fold and the incremental faulty scan via the cache.
     fn good_values(&self, unit: usize, block: u64) -> Arc<Vec<u64>> {
-        if let Some(hit) = self.cache.lock().goods.get(&(unit, block)) {
+        if let Some(hit) = self.cache.borrow().goods.get(&(unit, block)) {
             return Arc::clone(hit);
         }
         let nl = self.stage_netlists[unit].netlist();
         let values = Arc::new(nl.eval_all(&self.block_inputs(unit, block)));
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.borrow_mut();
         if cache.goods.len() >= CACHE_CAP {
             cache.goods.clear();
         }
@@ -367,12 +369,12 @@ impl NetlistSubstrate {
     }
 
     fn good_fold(&self, unit: usize, block: u64) -> [u32; 64] {
-        if let Some(hit) = self.cache.lock().good.get(&(unit, block)) {
+        if let Some(hit) = self.cache.borrow().good.get(&(unit, block)) {
             return *hit;
         }
         let nl = self.stage_netlists[unit].netlist();
         let fold = fold_block(nl, &self.good_values(unit, block));
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.borrow_mut();
         if cache.good.len() >= CACHE_CAP {
             cache.good.clear();
         }
@@ -382,7 +384,7 @@ impl NetlistSubstrate {
 
     fn faulty_fold(&self, stage: StageId, block: u64, fault: GateFault) -> [u32; 64] {
         let key = (stage.flat_index(), block);
-        if let Some(hit) = self.cache.lock().faulty.get(&key) {
+        if let Some(hit) = self.cache.borrow().faulty.get(&key) {
             return *hit;
         }
         // Incremental scan: walk only the fault's fanout cone over the
@@ -396,7 +398,7 @@ impl NetlistSubstrate {
         sim.cone_into(fault.net, &mut cone);
         sim.eval_stuck(&good, (fault.net, fault.stuck), &cone, &mut scratch);
         let fold = fold_lanes(sim.outputs(), |net| scratch.value(&good, net));
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache.borrow_mut();
         if cache.faulty.len() >= CACHE_CAP {
             cache.faulty.clear();
         }
@@ -609,7 +611,7 @@ impl ReliabilitySubstrate for NetlistSubstrate {
         }
         self.health[stage.flat_index()] = GateHealth::Faulty(fault);
         // Cached folds for this stage are stale now.
-        self.cache.lock().faulty.retain(|&(flat, _), _| flat != stage.flat_index());
+        self.cache.get_mut().faulty.retain(|&(flat, _), _| flat != stage.flat_index());
         Ok(())
     }
 

@@ -49,6 +49,12 @@ impl CacheConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
+    /// log2 of the words per line: `word_addr >> line_shift` is the line.
+    line_shift: u32,
+    /// log2 of the set count: `line >> set_shift` is the tag.
+    set_shift: u32,
+    /// `line & set_mask` is the set.
+    set_mask: u32,
     /// `tags[set * ways + way]`: tag + valid, LRU-ordered per set
     /// (index 0 = most recently used).
     tags: Vec<Option<u32>>,
@@ -58,9 +64,29 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the words per line and the set count are powers of
+    /// two, so that an access splits its address with shifts and a mask.
+    /// Table II's three caches satisfy this.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        Cache { tags: vec![None; config.sets() * config.ways], config, hits: 0, misses: 0 }
+        let words_per_line = (config.line_bytes / 4).max(1);
+        let sets = config.sets();
+        assert!(
+            words_per_line.is_power_of_two() && sets.is_power_of_two(),
+            "cache geometry needs power-of-two words per line and sets, got {words_per_line} and {sets}"
+        );
+        Cache {
+            line_shift: words_per_line.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: (sets - 1) as u32,
+            tags: vec![None; sets * config.ways],
+            config,
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// The cache's configuration.
@@ -72,18 +98,18 @@ impl Cache {
     /// Accesses a word address; returns `true` on hit. On miss the line is
     /// filled (allocate-on-miss for both loads and stores).
     pub fn access(&mut self, word_addr: u32) -> bool {
-        let words_per_line = (self.config.line_bytes / 4).max(1) as u32;
-        let line = word_addr / words_per_line;
-        let sets = self.config.sets() as u32;
-        let set = (line % sets) as usize;
-        let tag = line / sets;
+        let line = word_addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
         let ways = self.config.ways;
         let base = set * ways;
         let slots = &mut self.tags[base..base + ways];
 
         if let Some(pos) = slots.iter().position(|t| *t == Some(tag)) {
-            // Move to MRU.
-            slots[..=pos].rotate_right(1);
+            // Move to MRU (already there on a repeat hit).
+            if pos > 0 {
+                slots[..=pos].rotate_right(1);
+            }
             self.hits += 1;
             true
         } else {
@@ -148,6 +174,85 @@ impl Default for MemoryHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference true-LRU cache: one recency list of whole line numbers
+    /// per set (most recent first), indexed with `/` and `%`.
+    struct NaiveLru {
+        words_per_line: u32,
+        ways: usize,
+        sets: Vec<Vec<u32>>,
+    }
+
+    impl NaiveLru {
+        fn new(cfg: CacheConfig) -> Self {
+            NaiveLru {
+                words_per_line: (cfg.line_bytes / 4).max(1) as u32,
+                ways: cfg.ways,
+                sets: vec![Vec::new(); cfg.sets()],
+            }
+        }
+
+        fn access(&mut self, word_addr: u32) -> bool {
+            let line = word_addr / self.words_per_line;
+            let nsets = self.sets.len();
+            let set = &mut self.sets[line as usize % nsets];
+            let hit = match set.iter().position(|&l| l == line) {
+                Some(pos) => {
+                    set.remove(pos);
+                    true
+                }
+                None => {
+                    set.truncate(self.ways - 1);
+                    false
+                }
+            };
+            set.insert(0, line);
+            hit
+        }
+    }
+
+    /// Table II's three caches and every geometry the tests below use.
+    fn geometries() -> [CacheConfig; 5] {
+        [
+            CacheConfig::l1d(),
+            CacheConfig::l1i(),
+            CacheConfig::l2(),
+            CacheConfig { size_bytes: 16, ways: 2, line_bytes: 4, hit_cycles: 1 },
+            CacheConfig { size_bytes: 64, ways: 2, line_bytes: 4, hit_cycles: 1 },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn access_agrees_with_naive_true_lru(
+            geometry in 0..geometries().len(),
+            // Narrow ranges hit and conflict within sets; the full range
+            // exercises the top tag bits.
+            addrs in proptest::collection::vec(
+                prop_oneof![0u32..64, 0u32..4096, 0u32..65_536, any::<u32>()],
+                1..1500,
+            ),
+        ) {
+            let cfg = geometries()[geometry];
+            let mut cache = Cache::new(cfg);
+            let mut model = NaiveLru::new(cfg);
+            for (i, &a) in addrs.iter().enumerate() {
+                prop_assert_eq!(cache.access(a), model.access(a), "access {} of {:#x}", i, a);
+            }
+            let hits = addrs.len() as u64 - cache.misses();
+            prop_assert_eq!(cache.hits(), hits);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn non_power_of_two_set_count_panics() {
+        // 96 bytes / 4-byte lines / 2 ways = 12 sets.
+        let _ = Cache::new(CacheConfig { size_bytes: 96, ways: 2, line_bytes: 4, hit_cycles: 1 });
+    }
 
     #[test]
     fn first_access_misses_then_hits() {

@@ -79,19 +79,19 @@ impl PipelineCheckpoint {
         self.retired
     }
 
-    /// FNV-1a digest over the full architectural payload (pc, registers,
-    /// memory, halt flag, retirement count). Any single flipped bit of
-    /// the snapshot changes the digest, which is what the checkpoint
-    /// store's integrity check needs.
+    /// Digest over the full architectural payload (pc, registers, memory,
+    /// halt flag, retirement count), one word per step:
+    /// `h = (h ^ w) * P` with FNV-1a-64's basis and odd prime `P`.
+    ///
+    /// For a fixed `h` a step is injective in `w`, and for fixed words it
+    /// is a bijection of `h`, so changing any one payload word — a single
+    /// flipped bit included — always changes the digest. That is what
+    /// the checkpoint store's integrity check needs. Digests live only in
+    /// memory: they are never persisted or reported.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut mix = |word: u64| h = (h ^ word).wrapping_mul(0x100_0000_01b3);
         mix(u64::from(self.pc));
         for r in &self.regs {
             mix(u64::from(*r));
@@ -119,6 +119,26 @@ impl PipelineCheckpoint {
     }
 }
 
+/// One text-segment slot as fetch sees it, encoded and decoded once when
+/// the program loads.
+#[derive(Debug, Clone)]
+enum TextSlot {
+    /// The golden instruction word and its decode, which a fetch reuses
+    /// whenever the IFU delivers the word unchanged.
+    Word(u32, Result<Instruction, IsaError>),
+    /// The instruction has no encoding: fetching it is an ISA error.
+    Unencodable(IsaError),
+}
+
+impl TextSlot {
+    fn new(instr: Instruction) -> Self {
+        match r2d3_isa::encode::encode(instr) {
+            Ok(word) => TextSlot::Word(word, r2d3_isa::encode::decode(word)),
+            Err(e) => TextSlot::Unencodable(e),
+        }
+    }
+}
+
 /// A logical pipeline: ISA state, private L1 caches and timing counters.
 ///
 /// The pipeline is *logical* — which physical stages execute its five
@@ -128,6 +148,8 @@ impl PipelineCheckpoint {
 pub struct LogicalPipeline {
     id: usize,
     program: Option<Program>,
+    /// The loaded program's text, predecoded.
+    text: Vec<TextSlot>,
     pc: u32,
     regs: [u32; 32],
     mem: Vec<u32>,
@@ -152,6 +174,7 @@ impl LogicalPipeline {
         LogicalPipeline {
             id,
             program: None,
+            text: Vec::new(),
             pc: 0,
             regs: [0; 32],
             mem: Vec::new(),
@@ -172,6 +195,7 @@ impl LogicalPipeline {
     /// Loads a program and resets all architectural and timing state.
     pub fn load(&mut self, program: Program) {
         self.mem = program.initial_memory();
+        self.text = program.text().iter().map(|&i| TextSlot::new(i)).collect();
         self.program = Some(program);
         self.restart();
     }
@@ -380,10 +404,11 @@ impl LogicalPipeline {
             cycles += extra;
             ifu_cycles += extra;
         }
-        let Some(golden_instr) = self.fetch(self.pc) else {
-            return wedge(self, IsaError::PcOutOfRange(self.pc));
+        let (golden_word, golden_decode) = match self.text.get(self.pc as usize) {
+            None => return wedge(self, IsaError::PcOutOfRange(self.pc)),
+            Some(TextSlot::Unencodable(e)) => return Err(SimError::Isa(e.clone())),
+            Some(TextSlot::Word(word, decoded)) => (*word, decoded.clone()),
         };
-        let golden_word = r2d3_isa::encode::encode(golden_instr)?;
         let actual_word = effects.apply(Unit::Ifu, golden_word);
         record(
             Unit::Ifu,
@@ -394,10 +419,13 @@ impl LogicalPipeline {
                 actual_output: actual_word,
             },
         );
-        if actual_word != golden_word {
+        let decoded = if actual_word == golden_word {
+            golden_decode
+        } else {
             self.tainted = true;
-        }
-        let instr = match r2d3_isa::encode::decode(actual_word) {
+            r2d3_isa::encode::decode(actual_word)
+        };
+        let instr = match decoded {
             Ok(i) => i,
             Err(e) => return wedge(self, e),
         };
@@ -511,7 +539,7 @@ impl LogicalPipeline {
             }
         }
 
-        if target != next_pc && self.fetch(target).is_none() && !self.halted {
+        if target != next_pc && self.text.get(target as usize).is_none() && !self.halted {
             // A wild branch target wedges at the *next* fetch; flag now so
             // the crash is attributed to this instruction.
             self.pc = target;
@@ -529,11 +557,6 @@ impl LogicalPipeline {
         Ok(StepOutcome { cycles, instruction: instr })
     }
 
-    /// Instruction at `pc`, if the text segment covers it.
-    fn fetch(&self, pc: u32) -> Option<Instruction> {
-        self.program.as_ref()?.fetch(pc)
-    }
-
     /// Applies fault effects to a unit's golden output, records the trace
     /// entry, and tracks taint.
     fn finish_value(
@@ -545,14 +568,17 @@ impl LogicalPipeline {
         golden: u32,
         record: &mut impl FnMut(Unit, StageRecord),
     ) -> u32 {
-        let mut sig_words = vec![pc];
-        sig_words.extend(srcs.iter().map(|r| self.reg(*r)));
+        // `pc` then the source operands; no instruction reads more than two.
+        let mut sig_words = [pc, 0, 0];
+        for (w, r) in sig_words[1..].iter_mut().zip(srcs) {
+            *w = self.reg(*r);
+        }
         let actual = effects.apply(unit, golden);
         record(
             unit,
             StageRecord {
                 cycle: self.cycle,
-                input_sig: input_signature(&sig_words),
+                input_sig: input_signature(&sig_words[..=srcs.len()]),
                 golden_output: golden,
                 actual_output: actual,
             },

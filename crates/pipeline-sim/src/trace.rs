@@ -54,7 +54,10 @@ impl TraceRing {
         } else {
             self.records[self.next] = record;
         }
-        self.next = (self.next + 1) % self.capacity;
+        self.next += 1;
+        if self.next == self.capacity {
+            self.next = 0;
+        }
         self.total += 1;
     }
 
@@ -76,18 +79,34 @@ impl TraceRing {
         self.total
     }
 
+    /// The held records as two slices, oldest first: the first runs from
+    /// the oldest record to the end of storage, the second wraps round.
+    fn halves(&self) -> (&[StageRecord], &[StageRecord]) {
+        let split = if self.records.len() < self.capacity { 0 } else { self.next };
+        let (newer, older) = self.records.split_at(split);
+        (older, newer)
+    }
+
     /// Iterates records from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = &StageRecord> {
-        let split = if self.records.len() < self.capacity { 0 } else { self.next };
-        self.records[split..].iter().chain(self.records[..split].iter())
+        let (older, newer) = self.halves();
+        older.iter().chain(newer)
     }
 
     /// The most recent `n` records, oldest first.
     #[must_use]
     pub fn last(&self, n: usize) -> Vec<StageRecord> {
-        let len = self.records.len();
-        let take = n.min(len);
-        self.iter().skip(len - take).copied().collect()
+        let (older, newer) = self.halves();
+        let take = n.min(self.records.len());
+        let mut out = Vec::with_capacity(take);
+        match take.checked_sub(newer.len()) {
+            None => out.extend_from_slice(&newer[newer.len() - take..]),
+            Some(from_older) => {
+                out.extend_from_slice(&older[older.len() - from_older..]);
+                out.extend_from_slice(newer);
+            }
+        }
+        out
     }
 
     /// Drops all records (e.g. after a repair-triggered re-execution).
@@ -111,6 +130,7 @@ pub fn input_signature(words: &[u32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(cycle: u64) -> StageRecord {
         StageRecord {
@@ -168,6 +188,41 @@ mod tests {
         assert_ne!(input_signature(&[1, 2]), input_signature(&[2, 1]));
         assert_ne!(input_signature(&[1]), input_signature(&[1, 0]));
         assert_eq!(input_signature(&[5, 6]), input_signature(&[5, 6]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn last_equals_the_tail_of_iter(
+            capacity in 1usize..40,
+            before_clear in 0u64..100,
+            pushes in 0u64..100,
+            clear in any::<bool>(),
+            n in 0usize..50,
+        ) {
+            // `pushed` is everything pushed since the last clear: the ring
+            // must hold its newest `capacity` records.
+            let mut r = TraceRing::new(capacity);
+            let mut pushed = Vec::new();
+            for c in 0..before_clear {
+                r.push(rec(c));
+                pushed.push(rec(c));
+            }
+            if clear {
+                r.clear();
+                pushed.clear();
+            }
+            for c in 0..pushes {
+                r.push(rec(1000 + c));
+                pushed.push(rec(1000 + c));
+            }
+            let held: Vec<StageRecord> = r.iter().copied().collect();
+            prop_assert_eq!(&held[..], &pushed[pushed.len().saturating_sub(capacity)..]);
+            let take = n.min(r.len());
+            let tail: Vec<StageRecord> = r.iter().skip(r.len() - take).copied().collect();
+            prop_assert_eq!(r.last(n), tail);
+        }
     }
 
     #[test]
