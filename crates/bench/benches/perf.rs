@@ -347,37 +347,28 @@ fn lifetime_report(json: &mut String) {
 }
 
 fn fault_campaign_report(json: &mut String) {
-    use r2d3_core::campaign::{
-        generate_scenarios, run_substrate_sweep, CampaignConfig, ScenarioSpace, SubstrateKind,
-    };
+    use r2d3_core::campaign::{run_campaign, CampaignConfig, SubstrateKind};
 
     // Shrinking off: it only triggers on failures, and a bench that
     // failed would abort on the assert below anyway.
     let config =
         CampaignConfig { scenarios_per_substrate: 18, shrink: false, ..Default::default() };
-    let space = ScenarioSpace {
-        seed: config.seed,
-        count: config.scenarios_per_substrate,
-        pipelines: config.pipelines,
-        layers: config.layers,
-        settle_epochs: config.settle_epochs,
+    let sweep = |kind| {
+        let one = CampaignConfig { substrates: vec![kind], ..config.clone() };
+        time_best(3, || run_campaign(&one).substrates.remove(0))
     };
-    let scenarios = generate_scenarios(&space);
-
-    let (behav, behav_secs) =
-        time_best(3, || run_substrate_sweep(SubstrateKind::Behavioral, &scenarios, &config));
-    let (gate, gate_secs) =
-        time_best(3, || run_substrate_sweep(SubstrateKind::Netlist, &scenarios, &config));
+    let (behav, behav_secs) = sweep(SubstrateKind::Behavioral);
+    let (gate, gate_secs) = sweep(SubstrateKind::Netlist);
 
     let failures =
         behav.results.iter().chain(&gate.results).filter(|r| r.outcome.is_failure()).count();
     assert_eq!(failures, 0, "campaign bench sweep must be failure-free");
 
-    let n = scenarios.len() as f64;
+    let n = config.scenarios_per_substrate as f64;
     println!(
         "perf fault campaign: {} scenarios — behavioral {behav_secs:.3}s \
          ({:.1}/s), netlist {gate_secs:.3}s ({:.1}/s)",
-        scenarios.len(),
+        config.scenarios_per_substrate,
         n / behav_secs,
         n / gate_secs,
     );
@@ -392,7 +383,7 @@ fn fault_campaign_report(json: &mut String) {
             "    \"failures\": 0\n",
             "  }},\n"
         ),
-        scenarios.len(),
+        config.scenarios_per_substrate,
         behav_secs,
         gate_secs,
         n / behav_secs,

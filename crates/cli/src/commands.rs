@@ -174,8 +174,7 @@ pub fn inject(args: &[String]) -> CliResult {
 /// `r2d3 campaign`
 pub fn campaign(args: &[String]) -> CliResult {
     use r2d3_core::campaign::{
-        run_campaign, run_campaign_durable, run_campaign_traced, CampaignState, ShardReport,
-        ShardSpec,
+        run_campaign_durable, run_campaign_traced, CampaignState, ShardReport, ShardSpec,
     };
 
     if args.first().map(String::as_str) == Some("merge") {
@@ -276,7 +275,17 @@ pub fn campaign(args: &[String]) -> CliResult {
         }
     );
 
-    let report = if durable {
+    let report = if let Some(path) = p.get("trace-out") {
+        let (report, traces) = run_campaign_traced(&config);
+        let mut trace = ChromeTrace::new();
+        for (i, t) in traces.iter().enumerate() {
+            let name = format!("{}:scenario-{}", t.substrate, t.scenario);
+            trace.add_process(i as u32 + 1, &name, &t.records);
+        }
+        std::fs::write(path, trace.finish())?;
+        eprintln!("  trace written to {path} (load in Perfetto)");
+        report
+    } else {
         let resume = p
             .get("resume")
             .map(|path| CampaignState::load(std::path::Path::new(path)))
@@ -310,20 +319,6 @@ pub fn campaign(args: &[String]) -> CliResult {
                 return Ok(());
             }
         }
-    } else if let Some(path) = p.get("trace-out") {
-        let (report, traces) = run_campaign_traced(&config);
-        let mut trace = ChromeTrace::new();
-        for (i, t) in traces.iter().enumerate() {
-            let name = format!("{}:scenario-{}", t.substrate, t.scenario);
-            trace.add_process(i as u32 + 1, &name, &t.records);
-        }
-        std::fs::write(path, trace.finish())?;
-        eprintln!("  trace written to {path} (load in Perfetto)");
-        report
-    } else {
-        // `execute_local`'s campaign arm, with the config already built
-        // from the spec above (avoids re-reading `--core`).
-        run_campaign(&config)
     };
 
     print_campaign_summary(&report);

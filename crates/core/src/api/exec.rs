@@ -7,9 +7,10 @@
 //! more than submit-to-in-process-executor: there is one code path
 //! from a validated spec to a report, so there is nothing that can
 //! drift between the two front ends. (Sharded campaign jobs run
-//! through [`crate::campaign::run_shard`] per unit instead and are
-//! merged by the daemon; [`crate::campaign::merge_shards`] guarantees
-//! that route renders byte-identically to [`execute_local`].)
+//! through [`crate::campaign::run_campaign_durable`] with one shard per
+//! unit instead and are merged by the daemon;
+//! [`crate::campaign::merge_shards`] guarantees that route renders
+//! byte-identically to [`execute_local`].)
 
 use super::spec::{InjectSpec, JobKind, JobSpec, LifetimeSpec};
 use crate::campaign::{run_campaign, CampaignReport};

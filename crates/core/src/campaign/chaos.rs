@@ -24,7 +24,7 @@
 //! reproduces by itself, which is what makes `r2d3 chaos --seed S`
 //! a regression command rather than a flake generator.
 
-use super::durable::{run_shard, CampaignState, ShardReport, ShardSpec};
+use super::durable::{run_campaign_durable, CampaignState, ShardReport, ShardSpec};
 use super::runner::{CampaignConfig, SubstrateKind};
 use crate::api::wire::JobState;
 use crate::api::JobSpec;
@@ -313,9 +313,11 @@ fn torture_campaign(plan: &FaultPlan, schedule: u64, tally: &mut Tally) -> Resul
         ..Default::default()
     };
     let shard = ShardSpec::new(1, 1).map_err(|e| e.to_string())?;
-    let reference: ShardReport = run_shard(&config, shard, None, |_| Ok(ControlFlow::Continue(())))
-        .map_err(|e| format!("clean reference run failed: {e}"))?
-        .expect("observer never breaks");
+    let reference =
+        run_campaign_durable(&config, Some(shard), None, |_| Ok(ControlFlow::Continue(())))
+            .map_err(|e| format!("clean reference run failed: {e}"))?
+            .map(|report| ShardReport { shard, report })
+            .expect("observer never breaks");
 
     let fs = FaultyFs::new(FaultPlan::clean());
     let dir = Path::new("/campaign");
@@ -328,11 +330,11 @@ fn torture_campaign(plan: &FaultPlan, schedule: u64, tally: &mut Tally) -> Resul
         &fs,
         tally,
         |resume| {
-            run_shard(&config, shard, resume, |st| {
+            run_campaign_durable(&config, Some(shard), resume, |st| {
                 env.retry_snapshot(|| st.save_with(env.vfs.as_ref(), &path))?;
                 Ok(ControlFlow::Continue(()))
             })
-            .map(|r| r.expect("observer never breaks"))
+            .map(|r| ShardReport { shard, report: r.expect("observer never breaks") })
             .map_err(|e| (injected_in_snap(&e), e.to_string()))
         },
         || CampaignState::load_with(&fs.mem(), &path).ok(),

@@ -1,25 +1,28 @@
-//! Durable campaign execution: sharding, fault-tolerant merge, and
-//! crash-safe resume.
+//! Durable campaign execution: the one campaign loop, sharding,
+//! fault-tolerant merge, and crash-safe resume.
 //!
-//! Three pieces, all built on the [`snapshot`] container format:
+//! Four pieces, all built on the [`snapshot`] container format:
 //!
+//! * **One loop** — every campaign schedule (batch, traced,
+//!   checkpointed, sharded, served) runs the private `sweep` through
+//!   [`run_campaign`], [`run_campaign_traced`] or
+//!   [`run_campaign_durable`], which hands the observer a portable
+//!   [`CampaignState`] after every scenario.
 //! * **Sharding** — [`ShardSpec`] deterministically partitions the
 //!   scenario space (`id % total == index - 1`, so the round-robin kind
-//!   cycle stays balanced across shards); [`run_campaign_sharded`]
-//!   sweeps one partition and [`ShardReport::save`] persists it.
+//!   cycle stays balanced across shards); [`run_campaign_durable`] with
+//!   a shard sweeps one partition and [`ShardReport::save`] persists it.
 //! * **Merge** — [`merge_shards`] recombines per-shard reports into one
 //!   [`CampaignReport`], validating seed/size/substrate compatibility
 //!   and detecting scenario overlaps and gaps. Scenario execution is
 //!   independent and the metric folds are commutative, so the merged
 //!   report renders byte-identical to an unsharded run.
-//! * **Resume** — [`run_campaign_durable`] executes scenarios one at a
-//!   time through the same per-scenario code as the batch sweep, handing
-//!   a portable [`CampaignState`] to an observer after each one; a state
-//!   captured mid-flight resumes into a byte-identical report.
+//! * **Resume** — a state captured mid-flight and handed back to
+//!   [`run_campaign_durable`] resumes into a byte-identical report.
 
 use crate::campaign::runner::{
-    CampaignConfig, CampaignReport, EventCounts, Outcome, PreparedSubstrate, ScenarioResult,
-    SubstrateKind, SubstrateReport, SweepMetrics,
+    CampaignConfig, CampaignReport, CampaignTrace, EventCounts, Outcome, PreparedSubstrate,
+    ScenarioResult, SubstrateKind, SubstrateReport, SweepMetrics,
 };
 use crate::campaign::scenario::{
     generate_scenarios_with, FaultKind, FaultScenario, Injection, KindId, ScenarioSpace, KIND_NAMES,
@@ -117,10 +120,6 @@ fn campaign_scenarios(config: &CampaignConfig) -> Vec<FaultScenario> {
     )
 }
 
-fn kind_names(config: &CampaignConfig) -> Vec<&'static str> {
-    config.kinds.iter().map(|k| k.name()).collect()
-}
-
 /// One shard's sweep output: the shard coordinates plus a
 /// [`CampaignReport`] whose result lists cover only the shard's
 /// scenario ids (under their campaign-global ids).
@@ -212,29 +211,6 @@ impl ShardReport {
         };
         let shard = ShardSpec::new(index, total).map_err(SnapshotError::Malformed)?;
         Ok(ShardReport { shard, report: campaign_report_from_json(&v)? })
-    }
-}
-
-/// Sweeps one shard of the campaign over every configured substrate.
-/// Shard scenarios execute the same per-scenario code as the full sweep,
-/// so a merged set of shard reports is byte-identical to an unsharded
-/// run.
-#[must_use]
-pub fn run_campaign_sharded(config: &CampaignConfig, shard: ShardSpec) -> ShardReport {
-    let scenarios = shard_scenarios(config, shard);
-    let substrates = config
-        .substrates
-        .iter()
-        .map(|&kind| crate::campaign::runner::run_substrate_sweep(kind, &scenarios, config))
-        .collect();
-    ShardReport {
-        shard,
-        report: CampaignReport {
-            seed: config.seed,
-            scenarios_per_substrate: config.scenarios_per_substrate,
-            kinds: kind_names(config),
-            substrates,
-        },
     }
 }
 
@@ -520,18 +496,42 @@ fn campaign_digest(config: &CampaignConfig, shard: Option<ShardSpec>) -> u64 {
     snapshot::fnv1a64(format!("{config:?}|{shard:?}").as_bytes())
 }
 
-/// Runs the campaign (or one shard of it) durably: scenarios execute one
-/// at a time through the same per-scenario code as [`run_campaign`]
-/// (fresh substrate and engine each), and after every scenario the
-/// observer receives the complete portable [`CampaignState`] to persist
-/// ([`CampaignState::save`]) and/or stop on ([`ControlFlow::Break`]).
-/// Passing a previously captured state resumes mid-flight; the final
-/// report is byte-identical to an uninterrupted run.
+/// Runs the full campaign: generates the scenario list once, sweeps it
+/// over every configured substrate, shrinks failures. Deterministic: the
+/// same configuration produces an identical report.
+#[must_use]
+pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
+    sweep(config, None, None, None, |_| Ok(ControlFlow::Continue(())))
+        .expect("sweep errs only on a resumed state or an observer error")
+        .expect("sweep stops early only when the observer breaks")
+}
+
+/// [`run_campaign`] with a [`RingSink`] attached to every scenario's
+/// engine, returning the per-scenario telemetry streams (one per
+/// substrate and scenario, in sweep order) alongside the report. The
+/// report itself is byte-identical to [`run_campaign`]'s (the sink never
+/// feeds back into the engine); shrink re-executions stay untraced.
+///
+/// [`RingSink`]: crate::telemetry::RingSink
+#[must_use]
+pub fn run_campaign_traced(config: &CampaignConfig) -> (CampaignReport, Vec<CampaignTrace>) {
+    let mut traces = Vec::new();
+    let report = sweep(config, None, None, Some(&mut traces), |_| Ok(ControlFlow::Continue(())))
+        .expect("sweep errs only on a resumed state or an observer error")
+        .expect("sweep stops early only when the observer breaks");
+    (report, traces)
+}
+
+/// Runs the campaign (or one shard of it) durably: after every scenario
+/// the observer receives the complete portable [`CampaignState`] to
+/// persist ([`CampaignState::save`]) and/or stop on
+/// ([`ControlFlow::Break`]). Passing a previously captured state resumes
+/// mid-flight; the final report is byte-identical to an uninterrupted
+/// run, and a merged set of shard reports to an unsharded one.
 ///
 /// Returns `Ok(None)` when the observer stopped the run early,
-/// `Ok(Some(report))` on completion.
-///
-/// [`run_campaign`]: crate::campaign::run_campaign
+/// `Ok(Some(report))` on completion; a sharded report's result lists
+/// cover only the shard's scenarios (wrap it as a [`ShardReport`]).
 ///
 /// # Errors
 ///
@@ -542,6 +542,21 @@ pub fn run_campaign_durable<F>(
     config: &CampaignConfig,
     shard: Option<ShardSpec>,
     resume: Option<CampaignState>,
+    observe: F,
+) -> Result<Option<CampaignReport>, SnapshotError>
+where
+    F: FnMut(&CampaignState) -> Result<ControlFlow<()>, SnapshotError>,
+{
+    sweep(config, shard, resume, None, observe)
+}
+
+/// The one campaign loop: every scenario runs on a fresh substrate and
+/// engine, and the observer sees the state after each one.
+fn sweep<F>(
+    config: &CampaignConfig,
+    shard: Option<ShardSpec>,
+    resume: Option<CampaignState>,
+    mut traces: Option<&mut Vec<CampaignTrace>>,
     mut observe: F,
 ) -> Result<Option<CampaignReport>, SnapshotError>
 where
@@ -594,7 +609,7 @@ where
         let prepared = PreparedSubstrate::new(kind, config);
         while st.scenario_cursor < scenarios.len() {
             let scenario = &scenarios[st.scenario_cursor];
-            let (result, metrics) = prepared.run_one(scenario, config, None);
+            let (result, metrics) = prepared.run_one(scenario, config, traces.as_deref_mut());
             st.partial_metrics.absorb(&metrics);
             st.partial_results.push(result);
             st.scenario_cursor += 1;
@@ -614,34 +629,9 @@ where
     Ok(Some(CampaignReport {
         seed: config.seed,
         scenarios_per_substrate: config.scenarios_per_substrate,
-        kinds: kind_names(config),
+        kinds: config.kinds.iter().map(|k| k.name()).collect(),
         substrates: st.completed,
     }))
-}
-
-/// Durable single-shard execution: [`run_campaign_durable`] scoped to
-/// one shard, with the completed sweep wrapped as a [`ShardReport`] so a
-/// worker pool can drive shards incrementally and hand the results
-/// straight to [`merge_shards`]. The observer sees the same
-/// scenario-granular [`CampaignState`] as the unsharded durable path.
-///
-/// Returns `Ok(None)` when the observer stopped the run early,
-/// `Ok(Some(shard_report))` on completion.
-///
-/// # Errors
-///
-/// Same as [`run_campaign_durable`].
-pub fn run_shard<F>(
-    config: &CampaignConfig,
-    shard: ShardSpec,
-    resume: Option<CampaignState>,
-    observe: F,
-) -> Result<Option<ShardReport>, SnapshotError>
-where
-    F: FnMut(&CampaignState) -> Result<ControlFlow<()>, SnapshotError>,
-{
-    Ok(run_campaign_durable(config, Some(shard), resume, observe)?
-        .map(|report| ShardReport { shard, report }))
 }
 
 // --- JSON codec for report structures ------------------------------
@@ -968,7 +958,6 @@ fn campaign_report_from_json(v: &Value) -> Result<CampaignReport, SnapshotError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
 
     fn tiny_config() -> CampaignConfig {
         CampaignConfig {
@@ -976,6 +965,15 @@ mod tests {
             substrates: vec![SubstrateKind::Behavioral],
             ..Default::default()
         }
+    }
+
+    fn run_shard(config: &CampaignConfig, index: usize, total: usize) -> ShardReport {
+        let shard = ShardSpec::new(index, total).unwrap();
+        let report =
+            run_campaign_durable(config, Some(shard), None, |_| Ok(ControlFlow::Continue(())))
+                .unwrap()
+                .expect("observer never breaks");
+        ShardReport { shard, report }
     }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -1009,19 +1007,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_shards_equal_unsharded_report() {
-        let config = tiny_config();
-        let full = run_campaign(&config);
-        let shards: Vec<ShardReport> =
-            (1..=2).map(|k| run_campaign_sharded(&config, ShardSpec::new(k, 2).unwrap())).collect();
-        let merged = merge_shards(&shards).unwrap();
-        assert_eq!(full, merged, "merge must reproduce the straight sweep exactly");
-    }
-
-    #[test]
     fn shard_report_round_trips_through_disk() {
         let config = tiny_config();
-        let report = run_campaign_sharded(&config, ShardSpec::new(1, 3).unwrap());
+        let report = run_shard(&config, 1, 3);
         let path = tmp_path("shard-roundtrip");
         report.save(&path).unwrap();
         let reloaded = ShardReport::load(&path).unwrap();
@@ -1032,8 +1020,8 @@ mod tests {
     #[test]
     fn merge_detects_incompatible_and_incomplete_sets() {
         let config = tiny_config();
-        let s1 = run_campaign_sharded(&config, ShardSpec::new(1, 2).unwrap());
-        let s2 = run_campaign_sharded(&config, ShardSpec::new(2, 2).unwrap());
+        let s1 = run_shard(&config, 1, 2);
+        let s2 = run_shard(&config, 2, 2);
 
         // Missing shard -> gap.
         match merge_shards(std::slice::from_ref(&s1)) {
@@ -1064,46 +1052,6 @@ mod tests {
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn durable_campaign_matches_batch_run() {
-        let config = tiny_config();
-        let batch = run_campaign(&config);
-        let durable = run_campaign_durable(&config, None, None, |_| Ok(ControlFlow::Continue(())))
-            .unwrap()
-            .expect("observer never breaks");
-        assert_eq!(batch, durable);
-    }
-
-    #[test]
-    fn campaign_stop_and_resume_is_identical() {
-        let config = tiny_config();
-        let straight = run_campaign_durable(&config, None, None, |_| Ok(ControlFlow::Continue(())))
-            .unwrap()
-            .unwrap();
-
-        let path = tmp_path("campaign-resume");
-        let mut done = 0;
-        let stopped = run_campaign_durable(&config, None, None, |st| {
-            done += 1;
-            if done == 4 {
-                st.save(&path)?;
-                return Ok(ControlFlow::Break(()));
-            }
-            Ok(ControlFlow::Continue(()))
-        })
-        .unwrap();
-        assert!(stopped.is_none());
-
-        let state = CampaignState::load(&path).unwrap();
-        assert_eq!(state.scenario(), 4);
-        let resumed =
-            run_campaign_durable(&config, None, Some(state), |_| Ok(ControlFlow::Continue(())))
-                .unwrap()
-                .unwrap();
-        assert_eq!(straight, resumed, "resumed campaign must be byte-identical");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

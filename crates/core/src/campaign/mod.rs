@@ -54,14 +54,13 @@ mod shrink;
 pub use adversary::Adversary;
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport, CHAOS_TARGETS};
 pub use durable::{
-    merge_shards, run_campaign_durable, run_campaign_sharded, run_shard, shard_scenarios,
+    merge_shards, run_campaign, run_campaign_durable, run_campaign_traced, shard_scenarios,
     CampaignState, ShardReport, ShardSpec,
 };
 pub use report::render_report;
 pub use runner::{
-    campaign_engine_config, run_campaign, run_campaign_traced, run_substrate_sweep, CampaignConfig,
-    CampaignReport, CampaignTrace, EventCounts, Outcome, ScenarioResult, SubstrateKind,
-    SubstrateReport, SweepMetrics,
+    campaign_engine_config, CampaignConfig, CampaignReport, CampaignTrace, EventCounts, Outcome,
+    ScenarioResult, SubstrateKind, SubstrateReport, SweepMetrics,
 };
 pub use scenario::{
     generate_scenarios, generate_scenarios_with, truth_defective, truth_links, FaultKind,

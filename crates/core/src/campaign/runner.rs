@@ -9,10 +9,7 @@
 //! silent-corruption verdict.
 
 use crate::campaign::adversary::Adversary;
-use crate::campaign::scenario::{
-    generate_scenarios_with, truth_defective, truth_links, FaultKind, FaultScenario, KindId,
-    ScenarioSpace,
-};
+use crate::campaign::scenario::{truth_defective, truth_links, FaultKind, FaultScenario, KindId};
 use crate::campaign::shrink::shrink_scenario;
 use crate::checkpoint::CheckpointConfig;
 use crate::config::R2d3Config;
@@ -350,84 +347,12 @@ pub struct CampaignTrace {
     pub records: Vec<TelemetryRecord>,
 }
 
-/// Runs the full campaign: generates the scenario list once, sweeps it
-/// over every configured substrate, shrinks failures. Deterministic: the
-/// same configuration produces an identical report.
-#[must_use]
-pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
-    run_campaign_inner(config, None)
-}
-
-/// [`run_campaign`] with a [`RingSink`] attached to every scenario's
-/// engine, returning the per-scenario telemetry streams alongside the
-/// report. The report itself is byte-identical to [`run_campaign`]'s
-/// (the sink never feeds back into the engine); shrink re-executions
-/// stay untraced.
-#[must_use]
-pub fn run_campaign_traced(config: &CampaignConfig) -> (CampaignReport, Vec<CampaignTrace>) {
-    let mut traces = Vec::new();
-    let report = run_campaign_inner(config, Some(&mut traces));
-    (report, traces)
-}
-
-fn run_campaign_inner(
-    config: &CampaignConfig,
-    mut traces: Option<&mut Vec<CampaignTrace>>,
-) -> CampaignReport {
-    let space = ScenarioSpace {
-        seed: config.seed,
-        count: config.scenarios_per_substrate,
-        pipelines: config.pipelines,
-        layers: config.layers,
-        settle_epochs: config.settle_epochs,
-    };
-    let scenarios = generate_scenarios_with(&space, &config.kinds);
-    let substrates = config
-        .substrates
-        .iter()
-        .map(|&kind| substrate_sweep_inner(kind, &scenarios, config, traces.as_deref_mut()))
-        .collect();
-    CampaignReport {
-        seed: config.seed,
-        scenarios_per_substrate: config.scenarios_per_substrate,
-        kinds: config.kinds.iter().map(|k| k.name()).collect(),
-        substrates,
-    }
-}
-
-/// Sweeps the scenario list over one substrate kind.
-#[must_use]
-pub fn run_substrate_sweep(
-    kind: SubstrateKind,
-    scenarios: &[FaultScenario],
-    config: &CampaignConfig,
-) -> SubstrateReport {
-    substrate_sweep_inner(kind, scenarios, config, None)
-}
-
-fn substrate_sweep_inner(
-    kind: SubstrateKind,
-    scenarios: &[FaultScenario],
-    config: &CampaignConfig,
-    mut traces: Option<&mut Vec<CampaignTrace>>,
-) -> SubstrateReport {
-    let prepared = PreparedSubstrate::new(kind, config);
-    let mut results = Vec::with_capacity(scenarios.len());
-    let mut metrics = SweepMetrics::default();
-    for scenario in scenarios {
-        let (result, snapshot) = prepared.run_one(scenario, config, traces.as_deref_mut());
-        metrics.absorb(&snapshot);
-        results.push(result);
-    }
-    SubstrateReport { substrate: kind.name(), results, metrics }
-}
-
 /// A substrate kind with its expensive per-sweep setup done (workload
 /// programs built, netlists synthesized), able to execute scenarios one
-/// at a time — the unit of work the durable campaign runner checkpoints
-/// between. The batch sweep is a loop over [`PreparedSubstrate::run_one`],
-/// so resumed and sharded campaigns execute byte-identical per-scenario
-/// code.
+/// at a time — the unit of work the campaign loop checkpoints between.
+/// Every schedule (batch, traced, resumed, sharded) runs the same loop
+/// over [`PreparedSubstrate::run_one`], so they execute byte-identical
+/// per-scenario code.
 pub(crate) struct PreparedSubstrate {
     kind: SubstrateKind,
     inner: PreparedInner,

@@ -75,14 +75,22 @@ pub(crate) fn hex_u64(v: u64) -> String {
     format!("\"{v:x}\"")
 }
 
+/// Deepest array/object nesting the reader accepts. The deepest
+/// document this crate writes has 8 levels (a campaign state holding a
+/// shrunk scenario); the cap keeps a hostile wire line or snapshot from
+/// overflowing the stack of the thread parsing it.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn skip_ws(&mut self) {
@@ -107,8 +115,15 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Value::Bool(true)),
             Some(b'f') => self.parse_lit("false", Value::Bool(false)),

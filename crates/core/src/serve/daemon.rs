@@ -20,11 +20,11 @@ use super::store::{scan_jobs, JobRec};
 use super::{Listen, ServeConfig, ServeError};
 use crate::api::wire::{JobEvent, JobState, Reply, Request, Response};
 use crate::api::{
-    render_outcome, run_inject_with, CampaignSpec, InjectSpec, JobId, JobKind, JobOutcome, JobSpec,
-    LifetimeSpec,
+    render_outcome, run_inject_with, ApiError, CampaignSpec, InjectSpec, JobId, JobKind,
+    JobOutcome, JobSpec, LifetimeSpec,
 };
 use crate::campaign::{
-    merge_shards, render_report, run_shard, CampaignState, ShardReport, ShardSpec,
+    merge_shards, render_report, run_campaign_durable, CampaignState, ShardReport, ShardSpec,
 };
 use crate::chaos::{is_disk_full, IoEnv};
 use crate::lifetime::{LifetimeRunState, LifetimeSim};
@@ -250,14 +250,47 @@ fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
     out.flush()
 }
 
-fn handle_conn(inner: &Arc<Inner>, reader: Box<dyn Read + Send>, mut out: Box<dyn Write + Send>) {
-    let reader = BufReader::new(reader);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+/// Longest request line the daemon reads: 1 MiB. A request carries a
+/// spec and at most a `core` path, never file contents; a longer line
+/// gets a typed `syntax` error and the connection keeps serving.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Reads one request line, terminator included, into `buf`. Returns
+/// `Ok(None)` at end of stream and `Ok(Some(false))` for a line longer
+/// than [`MAX_REQUEST_LINE`], whose rest is skipped up to its newline
+/// one bounded read at a time.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Option<bool>> {
+    let mut within_cap = true;
+    loop {
+        buf.clear();
+        let read = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', buf)?;
+        if read == 0 && within_cap {
+            return Ok(None);
         }
-        let req = match Request::decode(&line) {
+        if read == 0 || buf.ends_with(b"\n") || buf.len() <= MAX_REQUEST_LINE {
+            return Ok(Some(within_cap));
+        }
+        within_cap = false;
+    }
+}
+
+fn handle_conn(inner: &Arc<Inner>, reader: Box<dyn Read + Send>, mut out: Box<dyn Write + Send>) {
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    while let Ok(Some(within_cap)) = read_request_line(&mut reader, &mut buf) {
+        let decoded = if within_cap {
+            let Ok(line) = std::str::from_utf8(&buf) else { return };
+            if line.trim().is_empty() {
+                continue;
+            }
+            Request::decode(line)
+        } else {
+            Err(ApiError::Syntax(format!("request line longer than {MAX_REQUEST_LINE} bytes")))
+        };
+        let req = match decoded {
             Ok(req) => req,
             Err(e) => {
                 // A malformed line is the sender's problem, not the
@@ -572,8 +605,16 @@ impl<'a> UnitObserver<'a> {
         UnitObserver { inner, job, unit, total, since_ckpt: 0, lease_used: 0, stop: None }
     }
 
-    /// Returns `(job_wide_done, should_checkpoint, control_flow)`.
-    fn step(&mut self, unit_steps: u64) -> (u64, bool, ControlFlow<()>) {
+    /// One observer step at `unit_steps` completed steps. When a
+    /// checkpoint is due, `save` persists the unit state under the env's
+    /// transient-fault retry; persistent disk pressure parks the unit
+    /// ([`Stop::Degraded`]) instead of failing it, and the next dispatch
+    /// resumes from the last checkpoint.
+    fn step(
+        &mut self,
+        unit_steps: u64,
+        save: impl FnMut() -> Result<(), SnapshotError>,
+    ) -> Result<ControlFlow<()>, SnapshotError> {
         let done = update_progress(self.inner, self.job, self.unit, unit_steps);
         self.inner.hub.emit(&JobEvent::Progress {
             job: JobId(self.job),
@@ -596,24 +637,25 @@ impl<'a> UnitObserver<'a> {
                 Stop::Lease
             });
         }
-        let checkpoint = stopping || self.since_ckpt >= self.inner.config.snapshot_every.max(1);
-        if checkpoint {
+        if stopping || self.since_ckpt >= self.inner.config.snapshot_every.max(1) {
             self.since_ckpt = 0;
+            match self.inner.env().retry_snapshot(save) {
+                Ok(()) => {
+                    save_manifest(self.inner, self.job);
+                    self.inner.hub.emit(&JobEvent::Checkpointed {
+                        job: JobId(self.job),
+                        unit: self.unit,
+                        done,
+                    });
+                }
+                Err(SnapshotError::Io(e)) if is_disk_full(&e) => {
+                    self.stop = Some(Stop::Degraded(format!("unit checkpoint: {e}")));
+                    return Ok(ControlFlow::Break(()));
+                }
+                Err(e) => return Err(e),
+            }
         }
-        (
-            done,
-            checkpoint,
-            if stopping { ControlFlow::Break(()) } else { ControlFlow::Continue(()) },
-        )
-    }
-
-    fn checkpointed(&self, done: u64) {
-        save_manifest(self.inner, self.job);
-        self.inner.hub.emit(&JobEvent::Checkpointed {
-            job: JobId(self.job),
-            unit: self.unit,
-            done,
-        });
+        Ok(if stopping { ControlFlow::Break(()) } else { ControlFlow::Continue(()) })
     }
 }
 
@@ -637,29 +679,18 @@ fn run_campaign_unit(
     // A corrupt or stale checkpoint is discarded (typed rejection →
     // fresh start for this unit); a valid one resumes mid-shard.
     let resume = CampaignState::load_with(env.vfs.as_ref(), &state_path).ok();
-    let owned = (0..c.scenarios).filter(|id| id % c.shards == unit as usize).count();
+    let owned = (0..c.scenarios as u32).filter(|&id| shard.owns(id)).count();
     let mut obs = UnitObserver::new(inner, job, unit, spec.progress_total());
-    let result = run_shard(&cfg, shard, resume, |st| {
-        let unit_steps = (st.substrate() * owned + st.scenario()) as u64;
-        let (done, checkpoint, flow) = obs.step(unit_steps);
-        if checkpoint {
-            match env.retry_snapshot(|| st.save_with(env.vfs.as_ref(), &state_path)) {
-                Ok(()) => obs.checkpointed(done),
-                Err(SnapshotError::Io(e)) if is_disk_full(&e) => {
-                    // Persistent pressure: park instead of failing; the
-                    // next dispatch resumes from the last checkpoint.
-                    obs.stop = Some(Stop::Degraded(format!("unit checkpoint: {e}")));
-                    return Ok(ControlFlow::Break(()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(flow)
+    let result = run_campaign_durable(&cfg, Some(shard), resume, |st| {
+        obs.step((st.substrate() * owned + st.scenario()) as u64, || {
+            st.save_with(env.vfs.as_ref(), &state_path)
+        })
     });
     match result {
         Err(e) => UnitRun::Failed(e.to_string()),
         Ok(None) => UnitRun::Interrupted(obs.stop.unwrap_or(Stop::Shutdown)),
-        Ok(Some(shard_report)) => {
+        Ok(Some(report)) => {
+            let shard_report = ShardReport { shard, report };
             let shard_path = JobRec::unit_shard_path(&inner.config.state_dir, job, unit);
             match env.retry_snapshot(|| shard_report.save_with(env.vfs.as_ref(), &shard_path)) {
                 Ok(()) => {}
@@ -683,18 +714,8 @@ fn run_lifetime_unit(inner: &Arc<Inner>, job: u64, spec: &JobSpec, l: &LifetimeS
     let resume = LifetimeRunState::load_with(env.vfs.as_ref(), &state_path).ok();
     let mut obs = UnitObserver::new(inner, job, 0, spec.progress_total());
     let result = LifetimeSim::new(cfg).run_durable(resume, |st| {
-        let (done, checkpoint, flow) = obs.step(st.months_done(months) as u64);
-        if checkpoint {
-            match env.retry_snapshot(|| st.save_with(env.vfs.as_ref(), &state_path)) {
-                Ok(()) => obs.checkpointed(done),
-                Err(SnapshotError::Io(e)) if is_disk_full(&e) => {
-                    obs.stop = Some(Stop::Degraded(format!("unit checkpoint: {e}")));
-                    return Ok(ControlFlow::Break(()));
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(flow)
+        obs.step(st.months_done(months) as u64, || st.save_with(env.vfs.as_ref(), &state_path))
+            .map_err(Into::into)
     });
     match result {
         Err(e) => UnitRun::Failed(e.to_string()),

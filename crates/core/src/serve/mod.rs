@@ -20,8 +20,9 @@
 //!   `--state-dir` — picks up from the last checkpoint, and the final
 //!   report is still byte-identical (the durable runners' contract).
 //! * **Malformed input never kills the daemon.** Every request line is
-//!   decoded by the typed validators; a bad line gets a typed error
-//!   response and the connection stays usable.
+//!   decoded by the typed validators, with bounded length
+//!   ([`MAX_REQUEST_LINE`]) and nesting depth; a bad line gets a typed
+//!   error response and the connection stays usable.
 //! * **Fairness is deterministic.** Units are dispatched by a
 //!   quota-proportional deficit scheduler ([`sched`]) with documented,
 //!   worker-count-independent tie-breaking.
@@ -38,7 +39,7 @@ mod sched;
 pub(crate) mod store;
 
 pub use client::Client;
-pub use daemon::Daemon;
+pub use daemon::{Daemon, MAX_REQUEST_LINE};
 
 use crate::api::ApiError;
 use crate::snapshot::SnapshotError;

@@ -105,15 +105,22 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the reader accepts. Yosys netlists
+/// nest 7 levels deep (the vendored core's cell connections); the cap
+/// keeps a hostile `--core` file from overflowing the stack.
+const MAX_DEPTH: usize = 64;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
     fn new(text: &'a str) -> Self {
-        JsonParser { bytes: text.as_bytes(), pos: 0, line: 1 }
+        JsonParser { bytes: text.as_bytes(), pos: 0, line: 1, depth: 0 }
     }
 
     fn error(&self, message: impl Into<String>) -> YosysJsonError {
@@ -153,8 +160,15 @@ impl<'a> JsonParser<'a> {
     fn parse_value(&mut self) -> Result<Json, YosysJsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Json::Bool),
             Some(b'f') => self.parse_literal("false", Json::Bool),
@@ -788,6 +802,17 @@ mod tests {
         let cout = (a & b) | ((a ^ b) & cin);
         assert_eq!(out[0] & 0xff, sum & 0xff);
         assert_eq!(out[1] & 0xff, cout & 0xff);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        let err = parse_yosys_json(&"[".repeat(1_000_000), None).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("nesting deeper than 64"), "{err}");
+        // A document nested within the cap still parses (and then fails
+        // to map, because it is not a netlist).
+        let within = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(!parse_yosys_json(&within, None).unwrap_err().message.contains("nesting"));
     }
 
     #[test]

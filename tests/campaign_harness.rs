@@ -4,8 +4,7 @@
 //! re-introduced engine bugs (checkpoint integrity, route scrubbing).
 
 use r2d3::engine::campaign::{
-    generate_scenarios_with, render_report, run_campaign, run_substrate_sweep, CampaignConfig,
-    KindId, Outcome, ScenarioSpace, SubstrateKind,
+    render_report, run_campaign, CampaignConfig, KindId, Outcome, SubstrateKind,
 };
 use r2d3::engine::checkpoint::CheckpointConfig;
 
@@ -13,8 +12,16 @@ fn small_config(seed: u64) -> CampaignConfig {
     CampaignConfig { seed, scenarios_per_substrate: 18, ..Default::default() }
 }
 
-fn space(count: usize) -> ScenarioSpace {
-    ScenarioSpace { seed: 0xCA3A, count, pipelines: 5, layers: 8, settle_epochs: 8 }
+/// `count` scenarios of one fault kind on one substrate, shrinking off,
+/// at the default seed and geometry.
+fn one_kind_config(substrate: SubstrateKind, kind: KindId, count: usize) -> CampaignConfig {
+    CampaignConfig {
+        scenarios_per_substrate: count,
+        substrates: vec![substrate],
+        kinds: vec![kind],
+        shrink: false,
+        ..Default::default()
+    }
 }
 
 /// The interconnect fault classes (the `--kinds` fabric subset).
@@ -73,24 +80,23 @@ fn sweep_is_failure_free_on_both_substrates() {
 /// the very same scenarios are detected and repaired.
 #[test]
 fn reintroduced_checkpoint_bug_is_caught_and_fix_restores_integrity() {
-    let scenarios = generate_scenarios_with(&space(4), &[KindId::CheckpointCorrupt]);
-    assert!(scenarios.len() >= 3, "need several checkpoint-corruption scenarios");
+    let hardened = one_kind_config(SubstrateKind::Netlist, KindId::CheckpointCorrupt, 4);
 
     // Pre-fix engine: restores whatever the checkpoint store returns.
-    let mut buggy = CampaignConfig { shrink: false, ..Default::default() };
+    let mut buggy = hardened.clone();
     buggy.engine.checkpoint = Some(CheckpointConfig {
         interval_epochs: 2,
         verify_integrity: false,
         ..Default::default()
     });
-    let before = run_substrate_sweep(SubstrateKind::Netlist, &scenarios, &buggy);
+    let before = run_campaign(&buggy).substrates.remove(0);
+    assert!(before.results.len() >= 3, "need several checkpoint-corruption scenarios");
     let silent = before.outcome_count(Outcome::SilentCorruption);
     assert!(silent >= 1, "harness failed to expose the restore-blindly bug: {before:?}");
 
     // Post-fix engine (defaults): digests verified at recovery, poisoned
     // slots invalidated, pipelines restarted instead.
-    let hardened = CampaignConfig { shrink: false, ..Default::default() };
-    let after = run_substrate_sweep(SubstrateKind::Netlist, &scenarios, &hardened);
+    let after = run_campaign(&hardened).substrates.remove(0);
     assert_eq!(
         after.outcome_count(Outcome::SilentCorruption),
         0,
@@ -98,7 +104,7 @@ fn reintroduced_checkpoint_bug_is_caught_and_fix_restores_integrity() {
     );
     assert_eq!(
         after.outcome_count(Outcome::DetectedRepaired),
-        scenarios.len(),
+        after.results.len(),
         "hardened engine must catch and recover every scenario"
     );
     assert!(
@@ -172,25 +178,24 @@ fn link_fault_resolves_by_rerouting_not_stage_retirement() {
 /// on) catches and rewrites every one within an epoch.
 #[test]
 fn disabled_route_scrub_leaves_mux_upsets_undetected() {
-    let scenarios = generate_scenarios_with(&space(3), &[KindId::MuxSelect]);
+    let hardened = one_kind_config(SubstrateKind::Behavioral, KindId::MuxSelect, 3);
 
-    let mut blind = CampaignConfig { shrink: false, ..Default::default() };
+    let mut blind = hardened.clone();
     blind.engine.route_scrub = false;
-    let before = run_substrate_sweep(SubstrateKind::Behavioral, &scenarios, &blind);
+    let before = run_campaign(&blind).substrates.remove(0);
     assert!(
         before.outcome_count(Outcome::MisroutedUndetected) >= 1,
         "harness failed to expose the unscrubbed-crossbar hole: {before:?}"
     );
 
-    let hardened = CampaignConfig { shrink: false, ..Default::default() };
-    let after = run_substrate_sweep(SubstrateKind::Behavioral, &scenarios, &hardened);
+    let after = run_campaign(&hardened).substrates.remove(0);
     assert_eq!(
         after.outcome_count(Outcome::Rerouted),
-        scenarios.len(),
+        after.results.len(),
         "route scrub must catch and rewrite every mux upset: {after:?}"
     );
     assert!(
-        after.total_counts().reroutes >= scenarios.len() as u64,
+        after.total_counts().reroutes >= after.results.len() as u64,
         "each rewrite must surface as a Misrouted event"
     );
 }

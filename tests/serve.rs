@@ -8,7 +8,11 @@
 //! * killed workers resume, not restart — a daemon restarted over the
 //!   same state directory finishes the jobs the first daemon accepted;
 //! * malformed input never kills the daemon — typed error responses,
-//!   connection stays usable;
+//!   connection stays usable, including for over-deep and over-long
+//!   lines;
+//! * disk pressure parks a job instead of failing it — it reports
+//!   `degraded`, un-parks when writes succeed again, and still lands on
+//!   the batch bytes;
 //! * fairness is deterministic — the dispatch order for a contended
 //!   queue is a documented function of quotas alone, independent of
 //!   the worker count, and per-job results don't change with it.
@@ -19,11 +23,13 @@ use r2d3::engine::api::{
     execute_local, render_outcome, JobEvent, JobId, JobSpec, JobState, PROTO_VERSION,
 };
 use r2d3::engine::campaign::{KindId, SubstrateKind};
-use r2d3::engine::serve::{Client, Daemon, Listen, ServeConfig};
+use r2d3::engine::chaos::{FaultPlan, FaultyFs, IoEnv};
+use r2d3::engine::serve::{Client, Daemon, Listen, ServeConfig, MAX_REQUEST_LINE};
 use r2d3::engine::telemetry::OverflowPolicy;
 use std::io::{BufRead, BufReader, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-test scratch directory (state dir + socket), recreated fresh.
@@ -198,8 +204,14 @@ fn malformed_lines_get_typed_errors_and_connection_survives() {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
 
+    let deep = "[".repeat(1_000_000);
+    // A valid request padded past the cap: only the cap can reject it.
+    let status = format!("{{\"proto_version\":{PROTO_VERSION},\"op\":\"status\",\"job\":null}}");
+    let long = " ".repeat(MAX_REQUEST_LINE + 1 - status.len()) + &status;
     let probes: &[(&str, &str)] = &[
         ("not json at all", "syntax"),
+        (&deep, "syntax"),
+        (&long, "syntax"),
         ("{\"op\":\"status\"}", "missing"),
         ("{\"proto_version\":99,\"op\":\"status\",\"job\":null}", "version"),
         ("{\"proto_version\":1,\"op\":\"launch\"}", "unknown_op"),
@@ -212,9 +224,10 @@ fn malformed_lines_get_typed_errors_and_connection_survives() {
         writer.flush().unwrap();
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
+        let probe = &line[..line.len().min(40)];
         assert!(
             reply.contains(&format!("\"code\":\"{code}\"")),
-            "probe {line:?} expected error class {code:?}, got: {reply}"
+            "probe {probe:?} expected error class {code:?}, got: {reply}"
         );
         assert!(reply.contains("\"ok\":false"), "got: {reply}");
     }
@@ -229,6 +242,57 @@ fn malformed_lines_get_typed_errors_and_connection_survives() {
 
     daemon.shutdown();
     daemon.join();
+}
+
+/// Persistent disk pressure from the first unit checkpoint on: the job
+/// must park as `degraded` (in its status and as an event) instead of
+/// failing, then un-park once writes succeed again and complete with
+/// the batch report's bytes.
+fn degraded_job_unparks_and_matches_batch(name: &str, spec: &JobSpec) {
+    let dir = scratch(name);
+    let fs = FaultyFs::new(FaultPlan::clean());
+    let (daemon, listen) = daemon_at(
+        &dir,
+        ServeConfig {
+            state_dir: PathBuf::from("/state"),
+            paused: true,
+            io: IoEnv::with_vfs(Arc::new(fs.clone())),
+            ..ServeConfig::default()
+        },
+    );
+    let mut client = Client::connect(&listen).unwrap();
+    let mut status = Client::connect(&listen).unwrap();
+    let job = client.submit("tester", spec).unwrap();
+    fs.set_plan(FaultPlan { enospc_window: Some((fs.op_count(), u64::MAX)), ..FaultPlan::clean() });
+    daemon.release();
+
+    let mut degraded = 0;
+    let terminal = client
+        .watch(job, OverflowPolicy::Block, |ev| {
+            if matches!(ev, JobEvent::Degraded { .. }) {
+                degraded += 1;
+                assert_eq!(status.status(Some(job)).unwrap()[0].state, JobState::Degraded);
+                fs.set_plan(FaultPlan::clean());
+            }
+        })
+        .unwrap();
+    assert_eq!(degraded, 1, "the job must park exactly once");
+    assert_eq!(terminal, JobEvent::Completed { job });
+    assert_eq!(client.result(job).unwrap(), batch_bytes(spec), "served != batch after parking");
+
+    daemon.shutdown();
+    daemon.join();
+}
+
+#[test]
+fn disk_full_campaign_parks_then_completes_byte_identically() {
+    degraded_job_unparks_and_matches_batch("degraded-campaign", &quick_campaign(0xD15C, 3, 1));
+}
+
+#[test]
+fn disk_full_lifetime_parks_then_completes_byte_identically() {
+    let spec = JobSpec::lifetime().months(2).build().unwrap();
+    degraded_job_unparks_and_matches_batch("degraded-lifetime", &spec);
 }
 
 /// Two clients with 3:1 quotas submitting one-unit jobs: the dispatch
