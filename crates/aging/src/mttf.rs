@@ -3,10 +3,15 @@
 //! Following the divide-and-conquer methodology the paper adopts from
 //! \[28\], the system's mean time to failure is estimated by sampling
 //! per-component failure times from their (aging-state-dependent) hazard
-//! rates and walking the failures in time order against a caller-supplied
-//! *system-alive* predicate. For R2D3 the predicate is "at least one
-//! complete logical pipeline can still be formed"; for a NoRecon baseline
-//! it is "at least one core has all five of its own stages alive".
+//! rates and asking when the system fails given those times. For R2D3 the
+//! system fails when no complete logical pipeline can be formed; for a
+//! NoRecon baseline, when no core has all five of its own stages alive.
+//!
+//! [`mttf_of_failure_times`] is the one sampling loop. Its caller names the
+//! system failure time for a trial's sampled times: in closed form where
+//! the structure allows (the lifetime loop uses order statistics), or by
+//! walking the failures in time order against a black-box *system-alive*
+//! predicate, which is what [`mttf_monte_carlo`] does.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,13 +35,61 @@ impl Default for MttfConfig {
     }
 }
 
-/// Estimates the mean time to system failure (same unit as `1/rate`).
+/// Estimates the mean time to system failure (same unit as `1/rate`)
+/// from sampled component failure times.
+///
+/// Each trial samples component `i`'s failure time from `Exp(rates[i])`
+/// by inverse-CDF, drawing in index order (components with rate 0 never
+/// fail: their time is `INFINITY`), and asks `system_failure` when the
+/// system fails given those times. A trial whose system never fails is
+/// censored at [`MttfConfig::survivor_horizon`]. Trials are summed in
+/// order, so two `system_failure`s that return the same time for every
+/// trial give the same estimate, bit for bit.
+///
+/// # Panics
+///
+/// Panics if `rates` is empty or `config.trials` is 0.
+#[must_use]
+pub fn mttf_of_failure_times(
+    rates: &[f64],
+    config: &MttfConfig,
+    mut system_failure: impl FnMut(&[f64]) -> f64,
+) -> f64 {
+    assert!(!rates.is_empty(), "need at least one component");
+    assert!(config.trials > 0, "need at least one trial");
+
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut times = vec![f64::INFINITY; rates.len()];
+    let mut total = 0.0f64;
+    for _ in 0..config.trials {
+        for (t, &rate) in times.iter_mut().zip(rates) {
+            *t = if rate > 0.0 {
+                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                -u.ln() / rate
+            } else {
+                f64::INFINITY
+            };
+        }
+        let failure_time = system_failure(&times);
+        total += if failure_time.is_infinite() { config.survivor_horizon } else { failure_time };
+    }
+    total / config.trials as f64
+}
+
+/// Estimates the mean time to system failure (same unit as `1/rate`)
+/// against a black-box system-alive predicate.
 ///
 /// `rates[i]` is component `i`'s hazard rate (exponential approximation;
 /// components with rate 0 never fail). `alive` receives the boolean alive
 /// mask after each failure and must return whether the *system* is still
 /// functional; it is guaranteed to be called with monotonically fewer
 /// alive components.
+///
+/// Samples exactly as [`mttf_of_failure_times`] and walks each trial's
+/// failures in time order (a stable sort, so ties fail in index order)
+/// until the predicate fails. Callers that can name the system failure
+/// time in closed form should pass it to [`mttf_of_failure_times`]
+/// instead; this walk is their reference.
 ///
 /// Returns the mean failure time over all trials. If the system is
 /// already dead with all components alive, returns 0.
@@ -53,81 +106,24 @@ pub fn mttf_monte_carlo(
     assert!(!rates.is_empty(), "need at least one component");
     assert!(config.trials > 0, "need at least one trial");
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let mut mask = vec![true; rates.len()];
     if !alive(&mask) {
         return 0.0;
     }
-
-    let mut total = 0.0f64;
     let mut events: Vec<(f64, usize)> = Vec::with_capacity(rates.len());
-    for _ in 0..config.trials {
+    mttf_of_failure_times(rates, config, |times| {
         events.clear();
-        for (i, &rate) in rates.iter().enumerate() {
-            if rate > 0.0 {
-                // Inverse-CDF sampling of Exp(rate).
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                events.push((-u.ln() / rate, i));
-            }
-        }
+        events.extend(times.iter().copied().zip(0..).filter(|(t, _)| t.is_finite()));
         events.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-        mask.iter_mut().for_each(|m| *m = true);
-        let mut failure_time = f64::INFINITY;
+        mask.fill(true);
         for &(t, i) in &events {
             mask[i] = false;
             if !alive(&mask) {
-                failure_time = t;
-                break;
+                return t;
             }
         }
-        if failure_time.is_infinite() {
-            // System survives all modeled failures: censor the trial at
-            // the configured horizon.
-            failure_time = config.survivor_horizon;
-        }
-        total += failure_time;
-    }
-    total / config.trials as f64
-}
-
-/// Monte-Carlo MTTF with uncertainty: returns
-/// `(mean, standard_error, ci95_half_width)`.
-///
-/// Same sampling as [`mttf_monte_carlo`]; the confidence interval uses
-/// the normal approximation (valid for the hundreds of trials typical
-/// here).
-///
-/// # Panics
-///
-/// Panics if `rates` is empty or `config.trials` is 0.
-#[must_use]
-pub fn mttf_monte_carlo_ci(
-    rates: &[f64],
-    alive: impl Fn(&[bool]) -> bool + Copy,
-    config: &MttfConfig,
-) -> (f64, f64, f64) {
-    assert!(!rates.is_empty(), "need at least one component");
-    assert!(config.trials > 0, "need at least one trial");
-    // Run per-trial via single-trial configs with derived seeds so the
-    // estimator sees independent samples.
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let n = config.trials;
-    for t in 0..n {
-        let one = MttfConfig {
-            trials: 1,
-            seed: config.seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            survivor_horizon: config.survivor_horizon,
-        };
-        let x = mttf_monte_carlo(rates, alive, &one);
-        sum += x;
-        sum_sq += x * x;
-    }
-    let mean = sum / n as f64;
-    let var = (sum_sq / n as f64 - mean * mean).max(0.0);
-    let se = (var / n as f64).sqrt();
-    (mean, se, 1.96 * se)
+        f64::INFINITY
+    })
 }
 
 #[cfg(test)]
@@ -176,13 +172,20 @@ mod tests {
     }
 
     #[test]
-    fn ci_brackets_the_true_mean() {
-        let cfg = MttfConfig { trials: 4000, seed: 21, ..Default::default() };
-        let (mean, se, ci) = mttf_monte_carlo_ci(&[0.01], |m| m[0], &cfg);
-        assert!(se > 0.0);
-        assert!((mean - 100.0).abs() < ci * 2.0, "mean {mean} ± {ci} should cover 100");
-        // Exponential(λ): std = mean, so se ≈ mean/√n.
-        assert!((se - mean / (4000f64).sqrt()).abs() / se < 0.2);
+    fn closed_forms_match_the_predicate_walk_bit_for_bit() {
+        // A series system fails at its first failure, a 1-of-n parallel
+        // one at its last: the walk must land on exactly those times.
+        let cfg = MttfConfig { trials: 500, seed: 11, ..Default::default() };
+        let rates = [0.02, 0.0, 0.05, 0.01];
+        let first = mttf_of_failure_times(&rates, &cfg, |t| {
+            t.iter().copied().fold(f64::INFINITY, f64::min)
+        });
+        let walk = mttf_monte_carlo(&rates, |m| m.iter().all(|&a| a), &cfg);
+        assert_eq!(first.to_bits(), walk.to_bits());
+        let rates = [0.02, 0.05, 0.01];
+        let last = mttf_of_failure_times(&rates, &cfg, |t| t.iter().copied().fold(0.0, f64::max));
+        let walk = mttf_monte_carlo(&rates, |m| m.iter().any(|&a| a), &cfg);
+        assert_eq!(last.to_bits(), walk.to_bits());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   statuses, applied patterns) and must not regress below a
 //!   conservative speedup floor on the reduced budget.
 //! - **Lifetime**: the replica-parallel Monte-Carlo must produce a
-//!   bit-identical averaged series at 1 and 2 worker threads (the
-//!   striped thermal cache must never change results).
+//!   bit-identical averaged series at 1 and 2 worker threads (each
+//!   replica has its own seed and thermal warm start, and replicas are
+//!   averaged in order).
 //!
 //! Thresholds here are deliberately loose relative to `BENCH_perf.json`
 //! (shared CI hosts are noisy); the full harness records the honest

@@ -17,12 +17,13 @@
 use crate::activity::{alpha_from_temperature, pro_layer_weights, weighted_fill};
 use crate::jsonio::Value;
 use crate::policy::PolicyKind;
-use crate::repair::{core_level_formable, stage_level_formable};
+use crate::repair::{
+    core_level_failure_time, core_level_formable, stage_level_failure_time, stage_level_formable,
+};
 use crate::snapshot::{self, SnapshotError};
 use crate::substrate::ReliabilitySubstrate;
 use crate::EngineError;
-use parking_lot::Mutex;
-use r2d3_aging::mttf::{mttf_monte_carlo, MttfConfig};
+use r2d3_aging::mttf::{mttf_of_failure_times, MttfConfig};
 use r2d3_aging::nbti::{NbtiModel, NbtiParams, NbtiState};
 use r2d3_aging::{kelvin, BOLTZMANN_EV, SECONDS_PER_MONTH};
 use r2d3_isa::Unit;
@@ -32,11 +33,9 @@ use r2d3_thermal::{Floorplan, GridConfig, PowerMap, TemperatureField, ThermalGri
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Which system-failure criterion the forward-MTTF Monte Carlo uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -250,18 +249,6 @@ pub struct LifetimeOutcome {
     pub map_ny: usize,
 }
 
-/// Final-month per-stage state of the last replica run (debug aid).
-#[doc(hidden)]
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaDebug {
-    /// ΔVth per stage (flat index).
-    pub wear: Vec<f64>,
-    /// Duty per stage.
-    pub duty: Vec<f64>,
-    /// Temperature per stage (°C).
-    pub temps: Vec<f64>,
-}
-
 /// Worker-thread default for [`LifetimeConfig::threads`]: available
 /// parallelism capped at 8 (replica counts are small; more threads idle).
 #[must_use]
@@ -269,53 +256,12 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-/// One cached monthly thermal solve: per-stage block temperatures plus
-/// the full field (the next month's warm start).
+/// One monthly thermal solve: per-stage block temperatures plus the full
+/// field (the next month's warm start).
 #[derive(Debug)]
 struct SolvedMonth {
     temps: Vec<f64>,
     field: TemperatureField,
-}
-
-/// Lock stripes in [`ThermalCache`]. A power of two (shard selection
-/// masks the key's low bits); 16 comfortably exceeds the worker cap.
-const CACHE_SHARDS: usize = 16;
-
-/// Thermal solves shared across replicas, keyed by a *chained hash* of
-/// the quantized duty history. Two trajectories collide on a key only if
-/// their entire duty history matches — which also pins the warm-start
-/// field — so every cache entry is a pure function of its key and the
-/// simulation stays bit-identical for any thread count or interleaving.
-///
-/// The map is striped across [`CACHE_SHARDS`] independently locked
-/// shards, so concurrent replicas rarely contend on the map locks (the
-/// old single global `Mutex<HashMap>` serialized every lookup *and*
-/// every multi-millisecond solve under one lock, making 4-thread runs
-/// slightly slower than serial). Each key owns a per-entry slot mutex:
-/// the first replica to want a key computes the solve while holding
-/// only that slot, and later replicas wanting the same key block on the
-/// slot — never the shard — and then reuse the result instead of
-/// re-solving. Entries are pure functions of their key, so striping and
-/// in-flight dedup change timing only, never results.
-/// One in-flight-dedup cache slot: filled exactly once, under the slot's
-/// own lock, by the first replica to claim the key.
-type CacheSlot = Arc<Mutex<Option<Arc<SolvedMonth>>>>;
-
-struct ThermalCache {
-    shards: [Mutex<HashMap<u64, CacheSlot>>; CACHE_SHARDS],
-}
-
-impl ThermalCache {
-    fn new() -> Self {
-        ThermalCache { shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
-    }
-
-    /// The slot for `key`, creating it empty if absent. Holds the shard
-    /// lock only for the map access, never across a solve.
-    fn slot(&self, key: u64) -> CacheSlot {
-        let shard = &self.shards[key as usize & (CACHE_SHARDS - 1)];
-        Arc::clone(shard.lock().entry(key).or_insert_with(|| Arc::new(Mutex::new(None))))
-    }
 }
 
 /// Extends a duty-history hash with one month's quantized duty vector
@@ -342,11 +288,11 @@ struct ReplicaState {
     last_temps: Vec<f64>,
     series: LifetimeSeries,
     hot_map_month0: Vec<f64>,
-    /// Duty-history hash (thermal cache key).
+    /// Chained hash of the quantized duty history. Nothing reads it; the
+    /// lifetime snapshot body carries it.
     history_hash: u64,
     /// Previous month's converged field (warm start for the next solve).
-    warm: Option<Arc<SolvedMonth>>,
-    debug_final: Option<ReplicaDebug>,
+    warm: Option<SolvedMonth>,
 }
 
 impl ReplicaState {
@@ -363,7 +309,6 @@ impl ReplicaState {
             hot_map_month0: Vec::new(),
             history_hash: 0,
             warm: None,
-            debug_final: None,
         }
     }
 }
@@ -440,8 +385,8 @@ impl LifetimeRunState {
             series: rs.series.clone(),
             hot_map_month0: rs.hot_map_month0.clone(),
             history_hash: rs.history_hash,
-            warm_temps: rs.warm.as_deref().map(|s| s.temps.clone()),
-            warm_cells: rs.warm.as_deref().map(|s| s.field.cells().to_vec()),
+            warm_temps: rs.warm.as_ref().map(|s| s.temps.clone()),
+            warm_cells: rs.warm.as_ref().map(|s| s.field.cells().to_vec()),
         }
     }
 
@@ -450,7 +395,7 @@ impl LifetimeRunState {
             (Some(temps), Some(cells)) => {
                 let field = TemperatureField::from_cells(grid, cells.clone())
                     .map_err(|e| SnapshotError::ConfigMismatch(format!("warm-start field: {e}")))?;
-                Some(Arc::new(SolvedMonth { temps: temps.clone(), field }))
+                Some(SolvedMonth { temps: temps.clone(), field })
             }
             (None, None) => None,
             _ => {
@@ -470,7 +415,6 @@ impl LifetimeRunState {
             hot_map_month0: self.hot_map_month0.clone(),
             history_hash: self.history_hash,
             warm,
-            debug_final: None,
         })
     }
 
@@ -689,7 +633,6 @@ fn series_from_json(v: &Value) -> Result<LifetimeSeries, SnapshotError> {
 pub struct LifetimeSim {
     config: LifetimeConfig,
     physical: PhysicalModel,
-    debug: Mutex<Option<ReplicaDebug>>,
 }
 
 impl LifetimeSim {
@@ -697,13 +640,7 @@ impl LifetimeSim {
     /// to the paper's Table III anchor).
     #[must_use]
     pub fn new(config: LifetimeConfig) -> Self {
-        LifetimeSim { config, physical: PhysicalModel::table_iii(), debug: Mutex::new(None) }
-    }
-
-    /// Final-month per-stage wear/duty/temps of the last replica run.
-    #[doc(hidden)]
-    pub fn take_debug(&self) -> Option<ReplicaDebug> {
-        self.debug.lock().take()
+        LifetimeSim { config, physical: PhysicalModel::table_iii() }
     }
 
     /// The configuration.
@@ -726,9 +663,8 @@ impl LifetimeSim {
         let cfg = &self.config;
         let floorplan = Floorplan::opensparc_3d(cfg.layers);
         let grid = ThermalGrid::new(&floorplan, &cfg.grid);
-        let cache = ThermalCache::new();
 
-        type ReplicaResult = Result<(LifetimeSeries, Vec<f64>, Option<ReplicaDebug>), EngineError>;
+        type ReplicaResult = Result<(LifetimeSeries, Vec<f64>), EngineError>;
         // Oversubscribing a CPU-bound replica loop only adds context
         // switches, so the worker count is clamped to the host's
         // parallelism (results are thread-count-invariant either way).
@@ -737,16 +673,16 @@ impl LifetimeSim {
         let mut results: Vec<Option<ReplicaResult>> = (0..cfg.replicas).map(|_| None).collect();
         if threads <= 1 {
             for (replica, slot) in results.iter_mut().enumerate() {
-                *slot = Some(self.run_replica(replica, &grid, &cache));
+                *slot = Some(self.run_replica(replica, &grid));
             }
         } else {
             let chunk_len = cfg.replicas.div_ceil(threads);
             crossbeam::scope(|scope| {
                 for (ci, chunk) in results.chunks_mut(chunk_len).enumerate() {
-                    let (grid, cache) = (&grid, &cache);
+                    let grid = &grid;
                     scope.spawn(move |_| {
                         for (j, slot) in chunk.iter_mut().enumerate() {
-                            *slot = Some(self.run_replica(ci * chunk_len + j, grid, cache));
+                            *slot = Some(self.run_replica(ci * chunk_len + j, grid));
                         }
                     });
                 }
@@ -757,13 +693,10 @@ impl LifetimeSim {
         let mut acc = LifetimeSeries::default();
         let mut map = Vec::new();
         for (replica, result) in results.into_iter().enumerate() {
-            let (series, hot_map, debug) = result.expect("replica not run")?;
+            let (series, hot_map) = result.expect("replica not run")?;
             accumulate(&mut acc, &series, cfg.replicas as f64);
             if replica == 0 {
                 map = hot_map;
-            }
-            if replica + 1 == cfg.replicas {
-                *self.debug.lock() = debug;
             }
         }
 
@@ -781,13 +714,12 @@ impl LifetimeSim {
         &self,
         replica: usize,
         grid: &ThermalGrid,
-        cache: &ThermalCache,
-    ) -> Result<(LifetimeSeries, Vec<f64>, Option<ReplicaDebug>), EngineError> {
+    ) -> Result<(LifetimeSeries, Vec<f64>), EngineError> {
         let mut rs = ReplicaState::fresh(&self.config, replica);
         while rs.month < self.config.months {
-            self.step_month(&mut rs, grid, cache)?;
+            self.step_month(&mut rs, grid)?;
         }
-        Ok((rs.series, rs.hot_map_month0, rs.debug_final))
+        Ok((rs.series, rs.hot_map_month0))
     }
 
     /// Runs the sweep serially and durably: after every simulated month
@@ -820,7 +752,6 @@ impl LifetimeSim {
         let nstages = cfg.layers * Unit::COUNT;
         let floorplan = Floorplan::opensparc_3d(cfg.layers);
         let grid = ThermalGrid::new(&floorplan, &cfg.grid);
-        let cache = ThermalCache::new();
 
         let (mut cursor, mut live) = match resume {
             Some(st) => {
@@ -858,10 +789,9 @@ impl LifetimeSim {
             ),
         };
 
-        let debug;
         loop {
             while live.month < cfg.months {
-                self.step_month(&mut live, &grid, &cache)?;
+                self.step_month(&mut live, &grid)?;
                 let portable = LifetimeRunState::capture(&cursor, &live, digest);
                 if observe(&portable)?.is_break() {
                     return Ok(None);
@@ -873,12 +803,10 @@ impl LifetimeSim {
             }
             let next = live.replica + 1;
             if next >= cfg.replicas {
-                debug = live.debug_final.take();
                 break;
             }
             live = ReplicaState::fresh(cfg, next);
         }
-        *self.debug.lock() = debug;
 
         Ok(Some(LifetimeOutcome {
             policy: cfg.policy,
@@ -895,12 +823,7 @@ impl LifetimeSim {
     /// execute the exact same code, which is what makes a resumed run
     /// byte-identical to an uninterrupted one.
     #[allow(clippy::too_many_lines)]
-    fn step_month(
-        &self,
-        rs: &mut ReplicaState,
-        grid: &ThermalGrid,
-        cache: &ThermalCache,
-    ) -> Result<(), EngineError> {
+    fn step_month(&self, rs: &mut ReplicaState, grid: &ThermalGrid) -> Result<(), EngineError> {
         let cfg = &self.config;
         let nstages = cfg.layers * Unit::COUNT;
         let nbti = NbtiModel::new(cfg.nbti);
@@ -913,11 +836,10 @@ impl LifetimeSim {
         let month = rs.month;
 
         // --- formation + duty assignment ---------------------------
-        let alive_c = rs.alive.clone();
-        let usable = move |s: StageId| alive_c[s.flat_index()];
+        let usable = |s: StageId| rs.alive[s.flat_index()];
         let formable = match cfg.policy {
-            PolicyKind::NoRecon => core_level_formable(cfg.layers, &usable),
-            _ => stage_level_formable(cfg.layers, &usable),
+            PolicyKind::NoRecon => core_level_formable(cfg.layers, usable),
+            _ => stage_level_formable(cfg.layers, usable),
         };
         let active = formable.min(wanted);
         let duty = self.assign_duty(&rs.alive, &rs.last_temps, active, month);
@@ -930,9 +852,7 @@ impl LifetimeSim {
             &unit_w,
             uncore_w,
             power_factor,
-            rs.history_hash,
-            rs.warm.as_deref().map(|s| &s.field),
-            cache,
+            rs.warm.as_ref().map(|s| &s.field),
         )?;
         let temps = solved.temps.clone();
         rs.warm = Some(solved);
@@ -966,7 +886,7 @@ impl LifetimeSim {
             })
             .collect();
 
-        let mttf = self.forward_mttf(&rs.alive, &rates, wanted, month as u64);
+        let mttf = self.forward_mttf(&rs.alive, &rates, formable, wanted, month as u64);
         let norm_ipc = active as f64 / wanted as f64 * freq_factor;
         let hottest =
             (0..cfg.layers).map(|l| layer_mean(&temps, l)).fold(f64::NEG_INFINITY, f64::max);
@@ -978,14 +898,6 @@ impl LifetimeSim {
         rs.series.norm_ipc.push(norm_ipc);
         rs.series.active_pipelines.push(active as f64);
         rs.series.hottest_layer_temp.push(hottest);
-
-        if month + 1 == cfg.months {
-            rs.debug_final = Some(ReplicaDebug {
-                wear: rs.wear.iter().map(NbtiState::vth_shift).collect(),
-                duty: duty.clone(),
-                temps: temps.clone(),
-            });
-        }
 
         // --- stochastic fault arrival for next month -----------------
         for (s, rate) in rates.iter().enumerate().take(nstages) {
@@ -1114,14 +1026,8 @@ impl LifetimeSim {
         duty
     }
 
-    /// Thermal solve for a duty vector, warm-started from the previous
-    /// month's field and cached across replicas (duty trajectories repeat
-    /// until a replica's fault map diverges).
-    ///
-    /// `key` must be the chained duty-history hash: it uniquely determines
-    /// both the power map *and* the warm-start field, so cache insertion
-    /// races between replicas are benign (both compute the same value).
-    #[allow(clippy::too_many_arguments)]
+    /// Thermal solve for a duty vector, warm-started from the replica's
+    /// previous field.
     fn solve_temps(
         &self,
         grid: &ThermalGrid,
@@ -1129,20 +1035,8 @@ impl LifetimeSim {
         unit_w: &[f64; 5],
         uncore_w: f64,
         power_factor: f64,
-        key: u64,
         warm: Option<&TemperatureField>,
-        cache: &ThermalCache,
-    ) -> Result<Arc<SolvedMonth>, EngineError> {
-        // Hold only this key's slot during the solve: replicas solving
-        // different months proceed in parallel, and a replica wanting a
-        // month already in flight waits for that result instead of
-        // recomputing it. (An errored solve releases the slot empty, so
-        // waiters retry the solve themselves.)
-        let slot = cache.slot(key);
-        let mut entry = slot.lock();
-        if let Some(hit) = entry.as_ref() {
-            return Ok(hit.clone());
-        }
+    ) -> Result<SolvedMonth, EngineError> {
         let outcome = grid
             .steady_state_warm(&self.power_map(grid, duty, unit_w, uncore_w, power_factor), warm)
             .map_err(EngineError::Thermal)?;
@@ -1154,9 +1048,7 @@ impl LifetimeSim {
                 .block_avg(r2d3_thermal::BlockId { layer: s.layer, unit: s.unit })
                 .map_err(EngineError::Thermal)?;
         }
-        let solved = Arc::new(SolvedMonth { temps, field: outcome.field });
-        *entry = Some(solved.clone());
-        Ok(solved)
+        Ok(SolvedMonth { temps, field: outcome.field })
     }
 
     fn power_map(
@@ -1217,37 +1109,37 @@ impl LifetimeSim {
 
     /// Forward MTTF (months) from the current state via Monte Carlo.
     ///
-    /// See [`MttfCriterion`] for the failure definition.
-    fn forward_mttf(&self, alive: &[bool], rates: &[f64], wanted: usize, salt: u64) -> f64 {
+    /// See [`MttfCriterion`] for the failure definition; `formable` is the
+    /// policy's formable count over `alive`. The system fails when that
+    /// count drops below the criterion's level (at most `wanted`), and
+    /// each trial finds the time in closed form
+    /// ([`stage_level_failure_time`], [`core_level_failure_time`]).
+    fn forward_mttf(
+        &self,
+        alive: &[bool],
+        rates: &[f64],
+        formable: usize,
+        wanted: usize,
+        salt: u64,
+    ) -> f64 {
         let cfg = &self.config;
-        let layers = cfg.layers;
-        let policy = cfg.policy;
-        let criterion = cfg.mttf_criterion;
-        let base_alive = alive.to_vec();
-        let formable_of = move |ok: &dyn Fn(StageId) -> bool| match policy {
-            PolicyKind::NoRecon => core_level_formable(layers, ok),
-            _ => stage_level_formable(layers, ok),
-        };
-        let alive_now = base_alive.clone();
-        let level_now = match criterion {
+        let level = match cfg.mttf_criterion {
             MttfCriterion::TotalLoss => 1,
-            MttfCriterion::ServiceLevel => {
-                formable_of(&move |s: StageId| alive_now[s.flat_index()]).min(wanted)
-            }
+            MttfCriterion::ServiceLevel => formable.min(wanted),
         };
-        if level_now == 0 {
+        if level == 0 || formable < level {
             return 0.0;
         }
-        let predicate = move |mask: &[bool]| {
-            let ok = |s: StageId| base_alive[s.flat_index()] && mask[s.flat_index()];
-            formable_of(&ok).min(wanted) >= level_now
+        let failure_time = match cfg.policy {
+            PolicyKind::NoRecon => core_level_failure_time,
+            _ => stage_level_failure_time,
         };
         let mc = MttfConfig {
             trials: cfg.mttf_trials,
             seed: cfg.seed ^ salt.wrapping_mul(0x517c_c1b7),
             survivor_horizon: 1e9,
         };
-        mttf_monte_carlo(rates, predicate, &mc)
+        mttf_of_failure_times(rates, &mc, |times| failure_time(cfg.layers, alive, times, level))
     }
 
     fn frequency_factor(&self) -> f64 {
@@ -1380,8 +1272,8 @@ mod tests {
     #[test]
     fn thread_count_is_bit_identical() {
         // Same config at 1 and 4 workers must produce the exact same
-        // averaged series: deterministic per-replica seeds, trajectory-
-        // keyed thermal cache, and replica-order accumulation.
+        // averaged series: deterministic per-replica seeds and
+        // replica-order accumulation.
         let mut serial = quick_config(PolicyKind::Static);
         serial.replicas = 6;
         serial.threads = 1;
