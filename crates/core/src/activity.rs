@@ -10,9 +10,8 @@
 //! where `α_i` is the stage's predicted activity factor — lower for
 //! stages "more prone to hot spots and degradation". The paper derives
 //! the `α_i` offline from steady-state temperatures of typical workloads
-//! (implicitly the stage's layer position); this module provides both
-//! that offline profile ([`pro_layer_weights`]) and the runtime
-//! temperature-driven variant ([`alpha_from_temperature`]).
+//! (implicitly the stage's layer position); [`pro_layer_weights`] is that
+//! offline profile.
 
 /// Eq. 1: converts predicted activity factors `α_i` into activity
 /// indices `A_i` that sum to `n_workload`.
@@ -33,15 +32,6 @@ pub fn activity_indices(alphas: &[f64], n_workload: f64) -> Vec<f64> {
 #[must_use]
 pub fn schedule_times(indices: &[f64], t_cal: u64) -> Vec<u64> {
     indices.iter().map(|a| (a.clamp(0.0, 1.0) * t_cal as f64).round() as u64).collect()
-}
-
-/// Predicted activity factor from a measured/predicted temperature:
-/// hotter stages get exponentially lower weight (θ in °C sets how
-/// aggressively Pro shuns hot stages).
-#[must_use]
-pub fn alpha_from_temperature(temps_c: &[f64], theta: f64) -> Vec<f64> {
-    let t_min = temps_c.iter().copied().fold(f64::INFINITY, f64::min);
-    temps_c.iter().map(|t| (-(t - t_min) / theta.max(1e-9)).exp()).collect()
 }
 
 /// Offline per-layer weights for the steady-state-temperature method the
@@ -121,13 +111,6 @@ mod tests {
     fn eq2_caps_at_window() {
         let t = schedule_times(&[0.5, 1.5, 0.0], 1000);
         assert_eq!(t, vec![500, 1000, 0]);
-    }
-
-    #[test]
-    fn hotter_means_lower_alpha() {
-        let a = alpha_from_temperature(&[100.0, 120.0, 140.0], 20.0);
-        assert!(a[0] > a[1] && a[1] > a[2]);
-        assert!((a[0] - 1.0).abs() < 1e-12, "coolest is the reference");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! [`crate::report::measure_kernel_profile`]), exactly the two-timescale
 //! split the paper uses between gem5 runs and the reliability evaluation.
 
-use crate::activity::{alpha_from_temperature, pro_layer_weights, weighted_fill};
+use crate::activity::{pro_layer_weights, weighted_fill};
 use crate::jsonio::Value;
 use crate::policy::PolicyKind;
 use crate::repair::{
@@ -117,11 +117,6 @@ pub struct LifetimeConfig {
     pub mttf_trials: usize,
     /// Thermal grid configuration.
     pub grid: GridConfig,
-    /// Temperature sensitivity θ (°C) of Pro's α prediction.
-    pub alpha_theta: f64,
-    /// Use runtime-measured temperatures for Pro's activity factors
-    /// instead of the paper's offline steady-state-temperature method.
-    pub pro_runtime_temps: bool,
     /// System-failure criterion for the forward-MTTF estimate.
     pub mttf_criterion: MttfCriterion,
 }
@@ -144,8 +139,6 @@ impl LifetimeConfig {
             nbti: NbtiParams::default(),
             mttf_trials: 300,
             grid: GridConfig::default(),
-            alpha_theta: 18.0,
-            pro_runtime_temps: false,
             mttf_criterion: MttfCriterion::TotalLoss,
         }
     }
@@ -256,25 +249,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-/// One monthly thermal solve: per-stage block temperatures plus the full
-/// field (the next month's warm start).
-#[derive(Debug)]
-struct SolvedMonth {
-    temps: Vec<f64>,
-    field: TemperatureField,
-}
-
-/// Extends a duty-history hash with one month's quantized duty vector
-/// (FNV-1a over the 8.8 fixed-point duties).
-fn chain_duty_hash(prev: u64, duty: &[f64]) -> u64 {
-    let mut h = prev ^ 0xcbf2_9ce4_8422_2325;
-    for d in duty {
-        h ^= u64::from((d * 256.0).round() as u16);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Live state of one replica mid-trajectory — everything
 /// [`LifetimeSim::step_month`] reads and writes.
 #[derive(Debug)]
@@ -285,14 +259,10 @@ struct ReplicaState {
     rng: StdRng,
     alive: Vec<bool>,
     wear: Vec<NbtiState>,
-    last_temps: Vec<f64>,
     series: LifetimeSeries,
     hot_map_month0: Vec<f64>,
-    /// Chained hash of the quantized duty history. Nothing reads it; the
-    /// lifetime snapshot body carries it.
-    history_hash: u64,
     /// Previous month's converged field (warm start for the next solve).
-    warm: Option<SolvedMonth>,
+    warm: Option<TemperatureField>,
 }
 
 impl ReplicaState {
@@ -304,10 +274,8 @@ impl ReplicaState {
             rng: StdRng::seed_from_u64(cfg.seed ^ (replica as u64).wrapping_mul(0x9e37)),
             alive: vec![true; nstages],
             wear: vec![NbtiState::new(); nstages],
-            last_temps: initial_temp_guess(cfg.layers),
             series: LifetimeSeries::default(),
             hot_map_month0: Vec::new(),
-            history_hash: 0,
             warm: None,
         }
     }
@@ -340,11 +308,8 @@ pub struct LifetimeRunState {
     rng: [u64; 4],
     alive: Vec<bool>,
     wear: Vec<f64>,
-    last_temps: Vec<f64>,
     series: LifetimeSeries,
     hot_map_month0: Vec<f64>,
-    history_hash: u64,
-    warm_temps: Option<Vec<f64>>,
     warm_cells: Option<Vec<f64>>,
 }
 
@@ -381,39 +346,27 @@ impl LifetimeRunState {
             rng: rs.rng.state(),
             alive: rs.alive.clone(),
             wear: rs.wear.iter().map(NbtiState::vth_shift).collect(),
-            last_temps: rs.last_temps.clone(),
             series: rs.series.clone(),
             hot_map_month0: rs.hot_map_month0.clone(),
-            history_hash: rs.history_hash,
-            warm_temps: rs.warm.as_ref().map(|s| s.temps.clone()),
-            warm_cells: rs.warm.as_ref().map(|s| s.field.cells().to_vec()),
+            warm_cells: rs.warm.as_ref().map(|field| field.cells().to_vec()),
         }
     }
 
     fn rebuild_replica(&self, grid: &ThermalGrid) -> Result<ReplicaState, SnapshotError> {
-        let warm = match (&self.warm_temps, &self.warm_cells) {
-            (Some(temps), Some(cells)) => {
-                let field = TemperatureField::from_cells(grid, cells.clone())
-                    .map_err(|e| SnapshotError::ConfigMismatch(format!("warm-start field: {e}")))?;
-                Some(SolvedMonth { temps: temps.clone(), field })
-            }
-            (None, None) => None,
-            _ => {
-                return Err(SnapshotError::Malformed(
-                    "warm_temps/warm_cells must be both present or both null".into(),
-                ))
-            }
-        };
+        let warm = self
+            .warm_cells
+            .as_ref()
+            .map(|cells| TemperatureField::from_cells(grid, cells.clone()))
+            .transpose()
+            .map_err(|e| SnapshotError::ConfigMismatch(format!("warm-start field: {e}")))?;
         Ok(ReplicaState {
             replica: self.replica,
             month: self.month,
             rng: StdRng::from_state(self.rng),
             alive: self.alive.clone(),
             wear: self.wear.iter().map(|&v| NbtiState::from_vth_shift(v)).collect(),
-            last_temps: self.last_temps.clone(),
             series: self.series.clone(),
             hot_map_month0: self.hot_map_month0.clone(),
-            history_hash: self.history_hash,
             warm,
         })
     }
@@ -479,21 +432,12 @@ impl LifetimeRunState {
         }
         out.push_str("],\n");
         let _ = writeln!(out, "  \"wear\": {},", snapshot::f64_slice_to_json(&self.wear));
-        let _ =
-            writeln!(out, "  \"last_temps\": {},", snapshot::f64_slice_to_json(&self.last_temps));
         let _ = writeln!(out, "  \"series\": {},", series_to_json(&self.series));
         let _ = writeln!(
             out,
             "  \"hot_map_month0\": {},",
             snapshot::f64_slice_to_json(&self.hot_map_month0)
         );
-        let _ = writeln!(out, "  \"history_hash\": {},", jsonio_hex(self.history_hash));
-        match &self.warm_temps {
-            Some(t) => {
-                let _ = writeln!(out, "  \"warm_temps\": {},", snapshot::f64_slice_to_json(t));
-            }
-            None => out.push_str("  \"warm_temps\": null,\n"),
-        }
         match &self.warm_cells {
             Some(c) => {
                 let _ = writeln!(out, "  \"warm_cells\": {}", snapshot::f64_slice_to_json(c));
@@ -506,11 +450,6 @@ impl LifetimeRunState {
 
     fn from_body(body: &str) -> Result<Self, SnapshotError> {
         let v = snapshot::parse_body(body)?;
-        let hex = |key: &str| -> Result<u64, SnapshotError> {
-            snapshot::field(&v, key)?.as_hex_u64().ok_or_else(|| {
-                SnapshotError::Malformed(format!("field \"{key}\" is not a hex u64"))
-            })
-        };
         let usize_of = |key: &str| -> Result<usize, SnapshotError> {
             snapshot::field(&v, key)?.as_usize().ok_or_else(|| {
                 SnapshotError::Malformed(format!("field \"{key}\" is not an integer"))
@@ -518,14 +457,6 @@ impl LifetimeRunState {
         };
         let floats = |key: &str| -> Result<Vec<f64>, SnapshotError> {
             crate::snapshot::json_to_f64_vec(snapshot::field(&v, key)?)
-        };
-        let opt_floats = |key: &str| -> Result<Option<Vec<f64>>, SnapshotError> {
-            let f = snapshot::field(&v, key)?;
-            if *f == Value::Null {
-                Ok(None)
-            } else {
-                crate::snapshot::json_to_f64_vec(f).map(Some)
-            }
         };
         let rng_arr = snapshot::field(&v, "rng")?
             .as_arr()
@@ -548,8 +479,14 @@ impl LifetimeRunState {
                     .ok_or_else(|| SnapshotError::Malformed("\"alive\" entry not a bool".into()))
             })
             .collect::<Result<Vec<bool>, _>>()?;
+        let warm_cells = match snapshot::field(&v, "warm_cells")? {
+            Value::Null => None,
+            cells => Some(snapshot::json_to_f64_vec(cells)?),
+        };
         Ok(LifetimeRunState {
-            config_digest: hex("config_digest")?,
+            config_digest: snapshot::field(&v, "config_digest")?.as_hex_u64().ok_or_else(|| {
+                SnapshotError::Malformed("field \"config_digest\" is not a hex u64".into())
+            })?,
             replica: usize_of("replica")?,
             month: usize_of("month")?,
             acc: series_from_json(snapshot::field(&v, "acc")?)?,
@@ -557,12 +494,9 @@ impl LifetimeRunState {
             rng,
             alive,
             wear: floats("wear")?,
-            last_temps: floats("last_temps")?,
             series: series_from_json(snapshot::field(&v, "series")?)?,
             hot_map_month0: floats("hot_map_month0")?,
-            history_hash: hex("history_hash")?,
-            warm_temps: opt_floats("warm_temps")?,
-            warm_cells: opt_floats("warm_cells")?,
+            warm_cells,
         })
     }
 }
@@ -579,9 +513,11 @@ fn jsonio_hex(v: u64) -> String {
 }
 
 /// Digest identifying a [`LifetimeConfig`] (FNV-1a over its canonical
-/// `Debug` rendering — every field participates).
+/// `Debug` rendering). Every field but `threads` participates: results
+/// are thread-count-invariant, so a snapshot resumes on any host.
 fn config_digest(cfg: &LifetimeConfig) -> u64 {
-    snapshot::fnv1a64(format!("{cfg:?}").as_bytes())
+    let canonical = LifetimeConfig { threads: 1, ..cfg.clone() };
+    snapshot::fnv1a64(format!("{canonical:?}").as_bytes())
 }
 
 fn series_to_json(s: &LifetimeSeries) -> String {
@@ -771,10 +707,7 @@ impl LifetimeSim {
                     ))
                     .into());
                 }
-                if st.alive.len() != nstages
-                    || st.wear.len() != nstages
-                    || st.last_temps.len() != nstages
-                {
+                if st.alive.len() != nstages || st.wear.len() != nstages {
                     return Err(SnapshotError::ConfigMismatch(format!(
                         "snapshot stage vectors do not match the run's {nstages} stages"
                     ))
@@ -842,22 +775,16 @@ impl LifetimeSim {
             _ => stage_level_formable(cfg.layers, usable),
         };
         let active = formable.min(wanted);
-        let duty = self.assign_duty(&rs.alive, &rs.last_temps, active, month);
+        let duty = self.assign_duty(&rs.alive, active);
 
         // --- power map + thermal solve ------------------------------
-        rs.history_hash = chain_duty_hash(rs.history_hash, &duty);
-        let solved = self.solve_temps(
-            grid,
-            &duty,
-            &unit_w,
-            uncore_w,
-            power_factor,
-            rs.warm.as_ref().map(|s| &s.field),
-        )?;
-        let temps = solved.temps.clone();
-        rs.warm = Some(solved);
+        let power = self.power_map(&duty, &unit_w, uncore_w, power_factor, cfg.activity_weight);
+        let (temps, field) = self.solve_temps(grid, &power, rs.warm.as_ref())?;
+        rs.warm = Some(field);
         if month == 0 {
-            rs.hot_map_month0 = hottest_layer_map(grid, &duty, &unit_w, uncore_w, power_factor)?;
+            // The Fig. 6 map leaves out the workload's activity weight.
+            let unweighted = self.power_map(&duty, &unit_w, uncore_w, power_factor, 1.0);
+            rs.hot_map_month0 = hottest_layer_map(grid, &unweighted)?;
         }
 
         // --- aging ---------------------------------------------------
@@ -908,19 +835,12 @@ impl LifetimeSim {
                 }
             }
         }
-        rs.last_temps = temps;
         rs.month += 1;
         Ok(())
     }
 
     /// Per-stage duty assignment for the month, per policy.
-    fn assign_duty(
-        &self,
-        alive: &[bool],
-        last_temps: &[f64],
-        active: usize,
-        month: usize,
-    ) -> Vec<f64> {
+    fn assign_duty(&self, alive: &[bool], active: usize) -> Vec<f64> {
         let cfg = &self.config;
         let nstages = cfg.layers * Unit::COUNT;
         let mut duty = vec![0.0f64; nstages];
@@ -975,11 +895,18 @@ impl LifetimeSim {
                         duty[StageId::new(l, u).flat_index()] = share;
                     }
                 }
-                let _ = month;
             }
             PolicyKind::Pro => {
                 // Eq. 1: duty follows the temperature-predicted activity
                 // indices, clamped and water-filled to preserve the total.
+                // The paper: "Activity factors can either be determined
+                // offline based on the steady state temperature of cores
+                // for typical workloads (implicitly based on the location
+                // of cores), or at runtime based on the temperature and
+                // wear-out history. In this work, we use the steady state
+                // temperature method." The offline layer weights are that
+                // method.
+                let w = pro_layer_weights(cfg.layers);
                 for u in Unit::ALL {
                     let healthy: Vec<usize> = (0..cfg.layers)
                         .filter(|&l| alive[StageId::new(l, u).flat_index()])
@@ -987,25 +914,7 @@ impl LifetimeSim {
                     if healthy.is_empty() {
                         continue;
                     }
-                    // The paper: "Activity factors can either be
-                    // determined offline based on the steady state
-                    // temperature of cores for typical workloads
-                    // (implicitly based on the location of cores), or at
-                    // runtime based on the temperature and wear-out
-                    // history. In this work, we use the steady state
-                    // temperature method." The offline layer weights are
-                    // that method; the runtime variant feeds measured
-                    // block temperatures through Eq. 1 instead.
-                    let alphas: Vec<f64> = if cfg.pro_runtime_temps && month > 0 {
-                        let temps: Vec<f64> = healthy
-                            .iter()
-                            .map(|&l| last_temps[StageId::new(l, u).flat_index()])
-                            .collect();
-                        alpha_from_temperature(&temps, cfg.alpha_theta)
-                    } else {
-                        let w = pro_layer_weights(cfg.layers);
-                        healthy.iter().map(|&l| w[l]).collect()
-                    };
+                    let alphas: Vec<f64> = healthy.iter().map(|&l| w[l]).collect();
                     let shares = weighted_fill(&alphas, active as f64);
                     for (&l, &share) in healthy.iter().zip(&shares) {
                         duty[StageId::new(l, u).flat_index()] = share;
@@ -1026,20 +935,16 @@ impl LifetimeSim {
         duty
     }
 
-    /// Thermal solve for a duty vector, warm-started from the replica's
-    /// previous field.
+    /// Thermal solve of a month's power map, warm-started from the
+    /// replica's previous field: per-stage block temperatures plus the
+    /// full field (the next month's warm start).
     fn solve_temps(
         &self,
         grid: &ThermalGrid,
-        duty: &[f64],
-        unit_w: &[f64; 5],
-        uncore_w: f64,
-        power_factor: f64,
+        power: &PowerMap,
         warm: Option<&TemperatureField>,
-    ) -> Result<SolvedMonth, EngineError> {
-        let outcome = grid
-            .steady_state_warm(&self.power_map(grid, duty, unit_w, uncore_w, power_factor), warm)
-            .map_err(EngineError::Thermal)?;
+    ) -> Result<(Vec<f64>, TemperatureField), EngineError> {
+        let outcome = grid.steady_state_warm(power, warm).map_err(EngineError::Thermal)?;
         let cfg = &self.config;
         let mut temps = vec![0.0; cfg.layers * Unit::COUNT];
         for s in StageId::all(cfg.layers) {
@@ -1048,24 +953,25 @@ impl LifetimeSim {
                 .block_avg(r2d3_thermal::BlockId { layer: s.layer, unit: s.unit })
                 .map_err(EngineError::Thermal)?;
         }
-        Ok(SolvedMonth { temps, field: outcome.field })
+        Ok((temps, outcome.field))
     }
 
+    /// Per-block power of a duty vector, with switching activity scaled
+    /// by `activity_weight`.
     fn power_map(
         &self,
-        grid: &ThermalGrid,
         duty: &[f64],
         unit_w: &[f64; 5],
         uncore_w: f64,
         power_factor: f64,
+        activity_weight: f64,
     ) -> PowerMap {
         let cfg = &self.config;
         let fp = Floorplan::opensparc_3d(cfg.layers);
         let mut p = PowerMap::new(&fp);
-        let _ = grid;
         for s in StageId::all(cfg.layers) {
             let d = duty[s.flat_index()];
-            let watts = unit_w[s.unit.index()] * d * cfg.activity_weight * power_factor;
+            let watts = unit_w[s.unit.index()] * d * activity_weight * power_factor;
             p.add_block(s.layer, s.unit, watts);
         }
         // Uncore power scales with the layer's mean duty.
@@ -1078,7 +984,7 @@ impl LifetimeSim {
             for u in Unit::ALL {
                 let frac = r2d3_thermal::grid::UNIT_AREA_MM2[u.index()]
                     / r2d3_thermal::grid::UNIT_AREA_MM2.iter().sum::<f64>();
-                p.add_block(layer, u, uncore_w * mean * cfg.activity_weight * frac);
+                p.add_block(layer, u, uncore_w * mean * activity_weight * frac);
             }
         }
         p
@@ -1160,11 +1066,6 @@ impl LifetimeSim {
     }
 }
 
-fn initial_temp_guess(layers: usize) -> Vec<f64> {
-    // Warmer with layer distance from the sink; refined after month 0.
-    StageId::all(layers).map(|s| 90.0 + 5.0 * s.layer as f64).collect()
-}
-
 fn layer_mean(temps: &[f64], layer: usize) -> f64 {
     let base = layer * Unit::COUNT;
     temps[base..base + Unit::COUNT].iter().sum::<f64>() / Unit::COUNT as f64
@@ -1192,31 +1093,8 @@ fn accumulate(acc: &mut LifetimeSeries, one: &LifetimeSeries, replicas: f64) {
 }
 
 /// Solves the month-0 thermal map and extracts the hottest layer's cells.
-fn hottest_layer_map(
-    grid: &ThermalGrid,
-    duty: &[f64],
-    unit_w: &[f64; 5],
-    uncore_w: f64,
-    power_factor: f64,
-) -> Result<Vec<f64>, EngineError> {
-    let layers = grid.layers();
-    let fp = Floorplan::opensparc_3d(layers);
-    let mut p = PowerMap::new(&fp);
-    for s in StageId::all(layers) {
-        let watts = unit_w[s.unit.index()] * duty[s.flat_index()] * power_factor;
-        p.add_block(s.layer, s.unit, watts);
-    }
-    for layer in 0..layers {
-        let mean: f64 =
-            Unit::ALL.iter().map(|&u| duty[StageId::new(layer, u).flat_index()]).sum::<f64>()
-                / Unit::COUNT as f64;
-        for u in Unit::ALL {
-            let frac = r2d3_thermal::grid::UNIT_AREA_MM2[u.index()]
-                / r2d3_thermal::grid::UNIT_AREA_MM2.iter().sum::<f64>();
-            p.add_block(layer, u, uncore_w * mean * frac);
-        }
-    }
-    let field = grid.steady_state(&p)?;
+fn hottest_layer_map(grid: &ThermalGrid, power: &PowerMap) -> Result<Vec<f64>, EngineError> {
+    let field = grid.steady_state(power)?;
     let hot = field.hottest_layer();
     let per = grid.nx() * grid.ny();
     Ok(field.cells()[hot * per..(hot + 1) * per].to_vec())
@@ -1462,5 +1340,35 @@ mod tests {
             }
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn resume_under_a_different_thread_count_is_byte_identical() {
+        // `threads` defaults to the host's parallelism, so a snapshot
+        // written on one host must resume on a host with more cores.
+        let mut cfg = durable_config();
+        cfg.threads = 1;
+        let uninterrupted = LifetimeSim::new(cfg.clone())
+            .run_durable(None, |_| Ok(std::ops::ControlFlow::Continue(())))
+            .unwrap()
+            .unwrap();
+        let mut captured = None;
+        LifetimeSim::new(cfg.clone())
+            .run_durable(None, |st| {
+                if st.replica() == 1 && st.month() == 4 {
+                    captured = Some(st.clone());
+                    return Ok(std::ops::ControlFlow::Break(()));
+                }
+                Ok(std::ops::ControlFlow::Continue(()))
+            })
+            .unwrap();
+
+        let wider = LifetimeConfig { threads: 4, ..cfg };
+        let resumed = LifetimeSim::new(wider)
+            .run_durable(captured, |_| Ok(std::ops::ControlFlow::Continue(())))
+            .unwrap()
+            .unwrap();
+        assert_eq!(uninterrupted.series, resumed.series, "resume must be bit-identical");
+        assert_eq!(uninterrupted.initial_hot_layer_map, resumed.initial_hot_layer_map);
     }
 }

@@ -14,8 +14,8 @@
 //!   ([`OLDEST_MIGRATABLE_VERSION`]), and reject anything else with a
 //!   typed error — they never guess.
 //! * `kind` — what the body describes (`lifetime`, `campaign`,
-//!   `shard`); resuming a lifetime run from a campaign snapshot is a
-//!   typed error, not undefined behavior.
+//!   `shard`, `job`); resuming a lifetime run from a campaign snapshot
+//!   is a typed error, not undefined behavior.
 //! * digest/length — FNV-1a 64 over the exact body bytes plus the body
 //!   byte count, so truncation and corruption are distinguishable.
 //!
@@ -46,14 +46,20 @@ use std::path::Path;
 /// History:
 /// * **1** — initial container (kinds `lifetime`, `campaign`, `shard`).
 /// * **2** — adds the `job` manifest kind for the serve daemon's durable
-///   job store. The v1 kinds' body schemas are unchanged, so v1
-///   containers migrate losslessly (see [`read_verified`]).
-pub const SNAPSHOT_VERSION: u32 = 2;
+///   job store. The v1 kinds' body schemas are unchanged.
+/// * **3** — the `lifetime` body drops `last_temps`, `history_hash` and
+///   `warm_temps`, which nothing read, and keeps `warm_cells`. Its config
+///   digest no longer covers `threads`, and `LifetimeConfig` lost
+///   `alpha_theta` and `pro_runtime_temps`, so no v2 `lifetime` body can
+///   match a v3 run: it is refused (see [`read_verified`]). The
+///   `campaign`, `shard` and `job` bodies are unchanged and migrate as
+///   they are.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Oldest snapshot version [`read_verified`] can still migrate forward.
 /// The window is exactly one version (N−1): anything older is refused
 /// with [`SnapshotError::UnsupportedMigration`] instead of a guess.
-pub const OLDEST_MIGRATABLE_VERSION: u32 = 1;
+pub const OLDEST_MIGRATABLE_VERSION: u32 = 2;
 
 /// Magic token opening every snapshot header.
 pub const SNAPSHOT_MAGIC: &str = "R2D3SNAP";
@@ -107,7 +113,9 @@ pub enum SnapshotError {
     /// resumed.
     ConfigMismatch(String),
     /// The snapshot predates the migration window: this build migrates
-    /// bodies forward from [`OLDEST_MIGRATABLE_VERSION`] only.
+    /// bodies forward from [`OLDEST_MIGRATABLE_VERSION`] only, and a kind
+    /// whose body cannot migrate from `found` starts its window at
+    /// `oldest`.
     UnsupportedMigration {
         /// Version in the file's header.
         found: u32,
@@ -278,15 +286,17 @@ fn migrate(version: u32, kind: &str, mut body: String) -> Result<String, Snapsho
     let mut v = version;
     while v < SNAPSHOT_VERSION {
         body = match v {
-            // v1 → v2: the `job` kind was introduced; the pre-existing
-            // kinds' body schemas are unchanged. A v1 container claiming
-            // to be a `job` manifest cannot exist, so it is malformed,
-            // not migratable.
-            1 => {
-                if kind == "job" {
-                    return Err(SnapshotError::Malformed(
-                        "\"job\" manifests do not exist in snapshot version 1".into(),
-                    ));
+            // v2 → v3: only the `lifetime` body changed, and a v2 one
+            // carries a config digest no v3 run produces, so it could
+            // never resume. Refuse it here rather than at the digest
+            // check: a checkpoint that fails to load is discarded and its
+            // unit restarted, one that loads and mismatches fails the job.
+            2 => {
+                if kind == "lifetime" {
+                    return Err(SnapshotError::UnsupportedMigration {
+                        found: version,
+                        oldest: v + 1,
+                    });
                 }
                 body
             }
@@ -437,35 +447,32 @@ mod tests {
     }
 
     #[test]
-    fn v1_containers_migrate_forward() {
-        let path = tmp_path("migrate-v1");
-        let body = br#"{"cursor": 3}"#;
-        write_atomic(&path, "campaign", body).unwrap();
-        // Rewrite the header as version 1; the digest covers only the
-        // body, so the container stays internally consistent.
-        let v1 = fs::read_to_string(&path).unwrap().replacen(
-            &format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "),
-            &format!("{SNAPSHOT_MAGIC} {OLDEST_MIGRATABLE_VERSION} "),
-            1,
-        );
-        fs::write(&path, v1).unwrap();
-        let read = read_verified(&path, "campaign").unwrap();
-        assert_eq!(read.as_bytes(), body);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn v1_job_manifest_is_malformed_not_migrated() {
-        let path = tmp_path("migrate-v1-job");
-        write_atomic(&path, "job", b"{}").unwrap();
-        let v1 = fs::read_to_string(&path).unwrap().replacen(
-            &format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "),
-            &format!("{SNAPSHOT_MAGIC} {OLDEST_MIGRATABLE_VERSION} "),
-            1,
-        );
-        fs::write(&path, v1).unwrap();
-        assert!(matches!(read_verified(&path, "job"), Err(SnapshotError::Malformed(_))));
-        fs::remove_file(&path).unwrap();
+    fn previous_version_containers_migrate_or_are_refused_by_kind() {
+        let previous = SNAPSHOT_VERSION - 1;
+        assert_eq!(previous, OLDEST_MIGRATABLE_VERSION, "the window is one version");
+        let body = r#"{"cursor": 3}"#;
+        for (kind, migrates) in
+            [("campaign", true), ("shard", true), ("job", true), ("lifetime", false)]
+        {
+            let path = tmp_path(&format!("migrate-{kind}"));
+            write_atomic(&path, kind, body.as_bytes()).unwrap();
+            // Rewrite the header as the previous version; the digest
+            // covers only the body, so the container stays consistent.
+            let old = fs::read_to_string(&path).unwrap().replacen(
+                &format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "),
+                &format!("{SNAPSHOT_MAGIC} {previous} "),
+                1,
+            );
+            fs::write(&path, old).unwrap();
+            match read_verified(&path, kind) {
+                Ok(read) if migrates => assert_eq!(read, body, "{kind} body changed"),
+                Err(SnapshotError::UnsupportedMigration { found, oldest }) if !migrates => {
+                    assert_eq!((found, oldest), (previous, SNAPSHOT_VERSION), "{kind}");
+                }
+                other => panic!("{kind}: unexpected {other:?}"),
+            }
+            fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

@@ -45,20 +45,6 @@ impl Default for MaterialParams {
     }
 }
 
-/// Cell-update ordering of the steady-state SOR solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SweepOrdering {
-    /// Classic in-place lexicographic Gauss–Seidel/SOR order (serial).
-    #[default]
-    Lexicographic,
-    /// Two-color checkerboard: all `(x + y + z)`-even cells update first,
-    /// then all odd cells. The 7-point stencil only couples cells of
-    /// opposite colors, so within one half-sweep no cell reads another of
-    /// the same color — the half-sweep is embarrassingly parallel and its
-    /// result is bitwise independent of thread count.
-    RedBlack,
-}
-
 /// Grid resolution and materials.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GridConfig {
@@ -74,11 +60,6 @@ pub struct GridConfig {
     pub tolerance: f64,
     /// Sweep cap for the steady-state solver.
     pub max_sweeps: usize,
-    /// Cell-update ordering of the steady-state solver.
-    pub ordering: SweepOrdering,
-    /// Worker threads for red-black half-sweeps (1 = serial; ignored by
-    /// the lexicographic ordering). Any count produces the same field.
-    pub threads: usize,
 }
 
 impl Default for GridConfig {
@@ -90,8 +71,6 @@ impl Default for GridConfig {
             sor_omega: 1.85,
             tolerance: 1e-4,
             max_sweeps: 20_000,
-            ordering: SweepOrdering::Lexicographic,
-            threads: 1,
         }
     }
 }

@@ -46,7 +46,7 @@ pub mod power;
 pub mod solver;
 
 pub use floorplan::{BlockId, Floorplan, Rect};
-pub use grid::{GridConfig, MaterialParams, SweepOrdering, ThermalGrid};
+pub use grid::{GridConfig, MaterialParams, ThermalGrid};
 pub use map::TemperatureField;
 pub use power::PowerMap;
 pub use solver::{CyclingProfile, SolveOutcome};

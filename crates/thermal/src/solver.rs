@@ -1,6 +1,6 @@
 //! Steady-state and transient solvers over the thermal grid.
 
-use crate::grid::{SweepOrdering, ThermalGrid};
+use crate::grid::ThermalGrid;
 use crate::map::TemperatureField;
 use crate::power::PowerMap;
 use crate::ThermalError;
@@ -36,8 +36,11 @@ impl ThermalGrid {
         p
     }
 
-    /// One SOR sweep; returns the maximum temperature change.
-    fn sweep(&self, temps: &mut [f64], cell_power: &[f64], omega: f64) -> f64 {
+    /// One SOR sweep; returns the maximum temperature change. `g_bath`
+    /// is an extra per-cell conductance whose bath temperature is folded
+    /// into `cell_power`: 0 for the steady state, `C/dt` for a backward
+    /// Euler step.
+    fn sweep(&self, temps: &mut [f64], cell_power: &[f64], g_bath: f64, omega: f64) -> f64 {
         let (gx, gy, gz) = self.g_xyz();
         let g_sink = self.g_sink();
         let ambient = self.ambient();
@@ -50,7 +53,7 @@ impl ThermalGrid {
                 for x in 0..nx {
                     let i = z * per_layer + y * nx + x;
                     let mut num = cell_power[i];
-                    let mut den = 0.0;
+                    let mut den = g_bath;
                     if x > 0 {
                         num += gx * temps[i - 1];
                         den += gx;
@@ -83,128 +86,6 @@ impl ThermalGrid {
                     let relaxed = temps[i] + omega * (new - temps[i]);
                     max_delta = max_delta.max((relaxed - temps[i]).abs());
                     temps[i] = relaxed;
-                }
-            }
-        }
-        max_delta
-    }
-
-    /// Computes this color's relaxed values for the layer slab starting at
-    /// `z0` into `out` (slab-local indexing), reading only the *current*
-    /// `temps`: the 7-point stencil couples opposite colors exclusively,
-    /// so every read is a stale other-color value no matter how many
-    /// threads run this concurrently.
-    #[allow(clippy::too_many_arguments)]
-    fn relax_color_into(
-        &self,
-        temps: &[f64],
-        cell_power: &[f64],
-        omega: f64,
-        out: &mut [f64],
-        color: usize,
-        z0: usize,
-    ) {
-        let (gx, gy, gz) = self.g_xyz();
-        let g_sink = self.g_sink();
-        let ambient = self.ambient();
-        let (nx, ny, layers) = (self.nx(), self.ny(), self.layers());
-        let per_layer = nx * ny;
-        let z1 = (z0 + out.len() / per_layer).min(layers);
-
-        for z in z0..z1 {
-            for y in 0..ny {
-                for x in 0..nx {
-                    if (x + y + z) % 2 != color {
-                        continue;
-                    }
-                    let i = z * per_layer + y * nx + x;
-                    let mut num = cell_power[i];
-                    let mut den = 0.0;
-                    if x > 0 {
-                        num += gx * temps[i - 1];
-                        den += gx;
-                    }
-                    if x + 1 < nx {
-                        num += gx * temps[i + 1];
-                        den += gx;
-                    }
-                    if y > 0 {
-                        num += gy * temps[i - nx];
-                        den += gy;
-                    }
-                    if y + 1 < ny {
-                        num += gy * temps[i + nx];
-                        den += gy;
-                    }
-                    if z > 0 {
-                        num += gz * temps[i - per_layer];
-                        den += gz;
-                    }
-                    if z + 1 < layers {
-                        num += gz * temps[i + per_layer];
-                        den += gz;
-                    }
-                    if z == 0 {
-                        num += g_sink * ambient;
-                        den += g_sink;
-                    }
-                    let new = num / den;
-                    out[i - z0 * per_layer] = temps[i] + omega * (new - temps[i]);
-                }
-            }
-        }
-    }
-
-    /// One red-black SOR sweep (an even then an odd half-sweep); returns
-    /// the maximum temperature change. `updates` is caller-owned scratch
-    /// of `cell_count` length. Each half-sweep computes its color from
-    /// the current field and only then applies, so the result is bitwise
-    /// identical whether the compute phase runs on 1 thread or many.
-    fn sweep_red_black(
-        &self,
-        temps: &mut [f64],
-        cell_power: &[f64],
-        omega: f64,
-        updates: &mut [f64],
-        threads: usize,
-    ) -> f64 {
-        let (nx, ny, layers) = (self.nx(), self.ny(), self.layers());
-        let per_layer = nx * ny;
-        let mut max_delta = 0.0f64;
-
-        for color in 0..2usize {
-            if threads <= 1 || layers < 2 {
-                self.relax_color_into(temps, cell_power, omega, updates, color, 0);
-            } else {
-                let slab = layers.div_ceil(threads) * per_layer;
-                let temps_view: &[f64] = temps;
-                crossbeam::scope(|scope| {
-                    for (ci, chunk) in updates.chunks_mut(slab).enumerate() {
-                        scope.spawn(move |_| {
-                            self.relax_color_into(
-                                temps_view,
-                                cell_power,
-                                omega,
-                                chunk,
-                                color,
-                                ci * slab / per_layer,
-                            );
-                        });
-                    }
-                })
-                .expect("red-black sweep scope failed");
-            }
-            // Apply phase: write this color back and track the residual.
-            for z in 0..layers {
-                for y in 0..ny {
-                    for x in 0..nx {
-                        if (x + y + z) % 2 != color {
-                            continue;
-                        }
-                        let i = z * per_layer + y * nx + x;
-                        max_delta = max_delta.max((updates[i] - temps[i]).abs());
-                        temps[i] = updates[i];
-                    }
                 }
             }
         }
@@ -254,22 +135,9 @@ impl ThermalGrid {
             None => vec![self.ambient(); self.cell_count()],
         };
         let cfg = self.config();
-        let mut scratch = match cfg.ordering {
-            SweepOrdering::RedBlack => vec![0.0; self.cell_count()],
-            SweepOrdering::Lexicographic => Vec::new(),
-        };
         let mut residual = f64::INFINITY;
         for sweep in 0..cfg.max_sweeps {
-            residual = match cfg.ordering {
-                SweepOrdering::Lexicographic => self.sweep(&mut temps, &cell_power, cfg.sor_omega),
-                SweepOrdering::RedBlack => self.sweep_red_black(
-                    &mut temps,
-                    &cell_power,
-                    cfg.sor_omega,
-                    &mut scratch,
-                    cfg.threads.max(1),
-                ),
-            };
+            residual = self.sweep(&mut temps, &cell_power, 0.0, cfg.sor_omega);
             if residual < cfg.tolerance {
                 return Ok(SolveOutcome {
                     field: TemperatureField::new(self, temps),
@@ -311,72 +179,12 @@ impl ThermalGrid {
         let cfg = self.config();
         let mut residual = f64::INFINITY;
         for _ in 0..cfg.max_sweeps {
-            residual = self.sweep_with_bath(&mut temps, &effective_power, c_dt, cfg.sor_omega);
+            residual = self.sweep(&mut temps, &effective_power, c_dt, cfg.sor_omega);
             if residual < cfg.tolerance {
                 return Ok(TemperatureField::new(self, temps));
             }
         }
         Err(ThermalError::NoConvergence { iterations: cfg.max_sweeps, residual })
-    }
-
-    /// SOR sweep with an extra per-cell conductance `g_bath` whose bath
-    /// temperature is folded into `effective_power` (backward Euler).
-    fn sweep_with_bath(
-        &self,
-        temps: &mut [f64],
-        effective_power: &[f64],
-        g_bath: f64,
-        omega: f64,
-    ) -> f64 {
-        let (gx, gy, gz) = self.g_xyz();
-        let g_sink = self.g_sink();
-        let ambient = self.ambient();
-        let (nx, ny, layers) = (self.nx(), self.ny(), self.layers());
-        let per_layer = nx * ny;
-        let mut max_delta = 0.0f64;
-
-        for z in 0..layers {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let i = z * per_layer + y * nx + x;
-                    let mut num = effective_power[i];
-                    let mut den = g_bath;
-                    if x > 0 {
-                        num += gx * temps[i - 1];
-                        den += gx;
-                    }
-                    if x + 1 < nx {
-                        num += gx * temps[i + 1];
-                        den += gx;
-                    }
-                    if y > 0 {
-                        num += gy * temps[i - nx];
-                        den += gy;
-                    }
-                    if y + 1 < ny {
-                        num += gy * temps[i + nx];
-                        den += gy;
-                    }
-                    if z > 0 {
-                        num += gz * temps[i - per_layer];
-                        den += gz;
-                    }
-                    if z + 1 < layers {
-                        num += gz * temps[i + per_layer];
-                        den += gz;
-                    }
-                    if z == 0 {
-                        num += g_sink * ambient;
-                        den += g_sink;
-                    }
-                    let new = num / den;
-                    let relaxed = temps[i] + omega * (new - temps[i]);
-                    max_delta = max_delta.max((relaxed - temps[i]).abs());
-                    temps[i] = relaxed;
-                }
-            }
-        }
-        max_delta
     }
 }
 
@@ -577,43 +385,6 @@ mod tests {
         let f2 = g2.steady_state(&PowerMap::new(&fp2)).unwrap();
         let err = g4.steady_state_warm(&PowerMap::new(&fp4), Some(&f2)).unwrap_err();
         assert!(matches!(err, ThermalError::CellCountMismatch { .. }));
-    }
-
-    #[test]
-    fn red_black_converges_to_the_lexicographic_field() {
-        let fp = Floorplan::opensparc_3d(4);
-        let mut p = uniform_power(&fp, 0.04);
-        p.set_block(2, Unit::Lsu, 0.15); // break symmetry
-        let lex = ThermalGrid::new(&fp, &GridConfig::default()).steady_state(&p).unwrap();
-        let rb = ThermalGrid::new(
-            &fp,
-            &GridConfig { ordering: crate::SweepOrdering::RedBlack, ..Default::default() },
-        )
-        .steady_state(&p)
-        .unwrap();
-        let max_diff =
-            lex.cells().iter().zip(rb.cells()).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-        assert!(max_diff < 0.05, "orderings disagree by {max_diff:.4} K beyond the tolerance band");
-    }
-
-    #[test]
-    fn red_black_is_bit_identical_across_thread_counts() {
-        let fp = Floorplan::opensparc_3d(8);
-        let mut p = uniform_power(&fp, 0.05);
-        p.set_block(5, Unit::Exu, 0.12);
-        let mk = |threads| GridConfig {
-            ordering: crate::SweepOrdering::RedBlack,
-            threads,
-            ..Default::default()
-        };
-        let serial = ThermalGrid::new(&fp, &mk(1)).steady_state_warm(&p, None).unwrap();
-        let par = ThermalGrid::new(&fp, &mk(4)).steady_state_warm(&p, None).unwrap();
-        assert_eq!(serial.sweeps, par.sweeps, "thread count changed convergence");
-        assert_eq!(
-            serial.field.cells(),
-            par.field.cells(),
-            "parallel half-sweeps must be bitwise identical to serial"
-        );
     }
 
     #[test]
