@@ -18,10 +18,9 @@
 use crate::delay::DelayParams;
 use crate::nbti::{NbtiModel, NbtiState};
 use crate::SECONDS_PER_MONTH;
-use serde::{Deserialize, Serialize};
 
 /// Voltage-management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AvsPolicy {
     /// Fixed nominal supply; frequency degrades with ΔVth.
     Guardband,
@@ -40,7 +39,7 @@ pub enum AvsPolicy {
 }
 
 /// AVS model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvsParams {
     /// Nominal supply (V).
     pub vdd0: f64,
@@ -58,7 +57,7 @@ impl Default for AvsParams {
 }
 
 /// One sample of an AVS trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvsPoint {
     /// Month index.
     pub month: usize,

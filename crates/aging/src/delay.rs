@@ -6,10 +6,8 @@
 //! longer meet its cycle time and is treated as failed by the lifetime
 //! simulation.
 
-use serde::{Deserialize, Serialize};
-
 /// Alpha-power-law delay model parameters (45 nm-class defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayParams {
     /// Supply voltage (V).
     pub vdd: f64,

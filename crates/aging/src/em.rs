@@ -10,10 +10,9 @@
 //! ```
 
 use crate::{kelvin, BOLTZMANN_EV};
-use serde::{Deserialize, Serialize};
 
 /// Black's-equation electromigration model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmModel {
     /// Technology prefactor `A` (scaled so the reference condition gives
     /// `reference_mttf_hours`).

@@ -16,10 +16,9 @@
 //! multi-mechanism ablation bench evaluates R2D3's thermal headroom.
 
 use crate::{kelvin, BOLTZMANN_EV};
-use serde::{Deserialize, Serialize};
 
 /// Time-dependent dielectric breakdown, E-model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TddbModel {
     /// Lifetime (hours) at the reference field and temperature.
     pub reference_ttf_hours: f64,
@@ -65,7 +64,7 @@ impl TddbModel {
 /// paths grow at low temperature, so cold, fast-switching logic degrades
 /// faster — the one mechanism where R2D3-Pro's cool-tier bias is not
 /// automatically a win (quantified in the ablation bench).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HciModel {
     /// Lifetime (hours) at the reference condition.
     pub reference_ttf_hours: f64,
@@ -103,7 +102,7 @@ impl HciModel {
 }
 
 /// Coffin–Manson thermal-cycling fatigue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CyclingModel {
     /// Cycles to failure at the reference swing.
     pub reference_cycles: f64,
@@ -143,7 +142,7 @@ impl CyclingModel {
 }
 
 /// Operating condition of one device/stage for the composite evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Junction temperature (°C).
     pub temp_c: f64,
@@ -175,7 +174,7 @@ impl Default for OperatingPoint {
 /// Competing-risks combination of the JEP122 mechanisms: the system
 /// failure rate is the sum of the mechanism rates (series reliability),
 /// per JEP122's sum-of-failure-rates method.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CompositeModel {
     /// Electromigration.
     pub em: crate::em::EmModel,

@@ -22,10 +22,9 @@
 //! sits in the experimentally reported NBTI range of 0.1–0.2 eV.
 
 use crate::{kelvin, BOLTZMANN_EV};
-use serde::{Deserialize, Serialize};
 
 /// NBTI model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NbtiParams {
     /// Prefactor `A₀` in volts per `s^n`.
     pub a0: f64,
@@ -51,7 +50,7 @@ impl Default for NbtiParams {
 }
 
 /// Accumulated NBTI damage of one device/unit.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NbtiState {
     vth_shift: f64,
 }
@@ -80,7 +79,7 @@ impl NbtiState {
 }
 
 /// The NBTI aging model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NbtiModel {
     /// Model parameters.
     pub params: NbtiParams,

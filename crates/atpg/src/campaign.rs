@@ -6,7 +6,6 @@ use crate::observe::structurally_observable;
 use r2d3_netlist::{pack_blocks, FaultCone, FaultSim, Netlist, SimBlock, SimScratch, WideScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Pattern blocks whose good-value vectors are held in memory at once.
 /// Bounds peak memory at `BLOCK_BATCH * num_nets * 8` bytes while still
@@ -24,7 +23,7 @@ const LANE_GROUP: usize = 8;
 const FAULT_TILE: usize = 64;
 
 /// Campaign parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Total test patterns to apply (rounded up to a multiple of 64, the
     /// bit-parallel block width). The paper's budget is 10 M ATPG
@@ -58,7 +57,7 @@ impl Default for CampaignConfig {
 }
 
 /// Classification of one fault after the campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultStatus {
     /// Fault effect observed; `pattern` is the first detecting pattern
     /// index (a proxy for detection latency in test instructions).
@@ -82,7 +81,7 @@ impl FaultStatus {
 }
 
 /// Result of a campaign: per-fault classifications in input order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignOutcome {
     faults: Vec<Fault>,
     statuses: Vec<FaultStatus>,
@@ -283,12 +282,12 @@ pub fn run_campaign(
             simulate_batch(&engine, faults, &remaining, &goods, &groups, batch_start, use_rows)
         } else {
             let chunk_len = remaining.len().div_ceil(threads);
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = remaining
                     .chunks(chunk_len)
                     .map(|chunk| {
                         let (engine, goods, groups) = (&engine, &goods, &groups);
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             simulate_batch(
                                 engine,
                                 faults,
@@ -306,7 +305,6 @@ pub fn run_campaign(
                     .flat_map(|h| h.join().expect("campaign worker panicked"))
                     .collect::<Vec<_>>()
             })
-            .expect("campaign thread scope failed")
         };
 
         // Workers cover disjoint chunks of `remaining` in order, so the

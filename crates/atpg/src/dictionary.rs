@@ -13,11 +13,10 @@ use crate::fault::Fault;
 use r2d3_netlist::{pack_blocks, FaultCone, FaultSim, Netlist, SimBlock, WideScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A built dictionary: pattern set plus syndrome → candidate-fault map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultDictionary {
     /// Input blocks (64 patterns each), one `Vec<u64>` per block.
     patterns: Vec<Vec<u64>>,

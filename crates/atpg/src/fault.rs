@@ -1,14 +1,13 @@
 //! The stuck-at fault universe.
 
 use r2d3_netlist::{NetId, Netlist};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single stuck-at fault: `net` permanently at logic `stuck`.
 ///
 /// This is the industry-standard fault model the paper uses ("It assumes
 /// that a circuit defect behaves as a node stuck at 0 or 1").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// The faulted net.
     pub net: NetId,

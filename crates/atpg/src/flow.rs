@@ -11,10 +11,9 @@ use crate::campaign::{run_campaign, CampaignConfig, CampaignOutcome, FaultStatus
 use crate::fault::Fault;
 use crate::podem::{podem, verify_test, PodemResult};
 use r2d3_netlist::Netlist;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the combined flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowConfig {
     /// Random-pattern phase parameters.
     pub random: CampaignConfig,
@@ -29,7 +28,7 @@ impl Default for FlowConfig {
 }
 
 /// Statistics of the deterministic phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CleanupStats {
     /// Faults handed to PODEM.
     pub attempted: usize,

@@ -36,10 +36,9 @@
 
 use crate::fault::Fault;
 use r2d3_netlist::{Gate, GateKind, NetId, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// Five-valued D-algebra value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum V5 {
     /// Logic 0 in both good and faulty circuit.
     Zero,
@@ -153,7 +152,7 @@ fn eval_gate(gate: &Gate, values: &[V5]) -> V5 {
 }
 
 /// Outcome of a PODEM run for one fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PodemResult {
     /// A test vector: per-PI assignment (`None` = don't care).
     Test(Vec<Option<bool>>),

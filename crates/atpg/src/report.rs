@@ -1,11 +1,10 @@
 //! Aggregation of campaign outcomes into the paper's Fig. 4 categories.
 
 use crate::campaign::{CampaignOutcome, FaultStatus};
-use serde::{Deserialize, Serialize};
 
 /// Detection-latency buckets from Fig. 4(c), in test instructions
 /// (one random pattern models one test instruction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LatencyBucket {
     /// Detected within 50 instructions.
     Lt50,
@@ -46,7 +45,7 @@ impl LatencyBucket {
 }
 
 /// Fig. 4(b)-style summary for one unit (or aggregate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnitReport {
     /// Label: a unit name, "Total" or "Core-Level".
     pub label: String,

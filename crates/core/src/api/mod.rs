@@ -12,9 +12,9 @@
 //!   what makes a served job's report byte-identical to the batch path.
 //! * [`wire`] — the versioned JSON-lines wire protocol: every document
 //!   carries `"proto_version"` ([`PROTO_VERSION`]), encoders are
-//!   deterministic single-line emitters in the [`crate::jsonio`] style,
-//!   and decoders are recursive-descent validators that return a typed
-//!   [`ApiError`] — never a panic — on any malformed input.
+//!   deterministic single-line emitters, and decoders read the
+//!   [`r2d3_netlist::json`] tree and return a typed [`ApiError`] — never
+//!   a panic — on any malformed input.
 //! * [`exec`] — the in-process executor: [`execute_local`] runs any
 //!   `JobSpec` to a [`JobOutcome`], and [`render_outcome`] renders it to
 //!   the exact artifact bytes the corresponding batch command emits.
@@ -38,6 +38,7 @@ pub use spec::{
 };
 pub use wire::{JobEvent, JobState, JobStatus, Reply, Request, Response};
 
+use r2d3_netlist::json::{FieldError, SyntaxError};
 use std::fmt;
 
 /// Wire-protocol version stamped on (and required of) every document.
@@ -95,10 +96,6 @@ impl ApiError {
         }
     }
 
-    pub(crate) fn missing(field: &str) -> Self {
-        ApiError::Missing { field: field.to_string() }
-    }
-
     pub(crate) fn invalid(field: &str, reason: impl Into<String>) -> Self {
         ApiError::Invalid { field: field.to_string(), reason: reason.into() }
     }
@@ -124,3 +121,18 @@ impl fmt::Display for ApiError {
 }
 
 impl std::error::Error for ApiError {}
+
+impl From<SyntaxError> for ApiError {
+    fn from(e: SyntaxError) -> Self {
+        ApiError::Syntax(e.to_string())
+    }
+}
+
+impl From<FieldError> for ApiError {
+    fn from(e: FieldError) -> Self {
+        match e {
+            FieldError::Missing { field } => ApiError::Missing { field },
+            FieldError::Invalid { field, reason } => ApiError::Invalid { field, reason },
+        }
+    }
+}

@@ -214,10 +214,15 @@ impl JobSpec {
 /// Replicas the lifetime CLI path (and therefore lifetime jobs) runs.
 const LIFETIME_REPLICAS: usize = 6;
 
+/// Most scenarios one campaign job may sweep: 256× the default sweep.
+/// Admission allocates per scenario (each can be a shard unit) before
+/// any work runs, so this bounds what one submit line can claim.
+const MAX_SCENARIOS: usize = 65_536;
+
 impl CampaignSpec {
     fn validate(&self) -> Result<(), ApiError> {
-        if self.scenarios == 0 {
-            return Err(ApiError::invalid("scenarios", "must be at least 1"));
+        if !(1..=MAX_SCENARIOS).contains(&self.scenarios) {
+            return Err(ApiError::invalid("scenarios", format!("must be in 1..={MAX_SCENARIOS}")));
         }
         if self.substrates.is_empty() {
             return Err(ApiError::invalid("substrates", "must name at least one substrate"));
@@ -635,6 +640,10 @@ mod tests {
         assert!(JobSpec::campaign().scenarios(9).shards(3).build().is_ok());
         assert!(matches!(
             JobSpec::campaign().scenarios(0).build(),
+            Err(ApiError::Invalid { field, .. }) if field == "scenarios"
+        ));
+        assert!(matches!(
+            JobSpec::campaign().scenarios(1_000_000_000).shards(1_000_000_000).build(),
             Err(ApiError::Invalid { field, .. }) if field == "scenarios"
         ));
         assert!(matches!(

@@ -2,19 +2,19 @@
 //!
 //! One document per line, every document stamped with
 //! [`PROTO_VERSION`](super::PROTO_VERSION). Encoders are deterministic
-//! single-line emitters in the [`crate::jsonio`] style — fixed field
-//! order, no whitespace variance — so identical values always produce
-//! identical bytes. Decoders are recursive-descent validators over the
-//! [`crate::jsonio`] tree: any malformed input yields a typed
-//! [`ApiError`], never a panic, and unknown `proto_version`s are
-//! rejected outright rather than half-parsed.
+//! single-line emitters — fixed field order, no whitespace variance — so
+//! identical values always produce identical bytes. Decoders read the
+//! [`r2d3_netlist::json`] tree through its required-field accessors: any
+//! malformed input yields a typed [`ApiError`], never a panic, and
+//! unknown `proto_version`s are rejected outright rather than
+//! half-parsed.
 //!
 //! Full-range `u64` values (seeds, job ids) travel as lowercase hex
-//! *strings* ([`crate::jsonio::hex_u64`]) so nothing is squeezed
-//! through an `f64`. Free-text strings (client names, error messages)
-//! are escaped by [`escape`], which maps non-ASCII and unsupported
-//! control bytes to `?` — the hand-rolled parser is byte-oriented, so
-//! the protocol deliberately restricts itself to ASCII.
+//! *strings* ([`hex_u64`]); bare-integer counts must be exact (below
+//! 2^53). Free-text strings (client names, error messages) are escaped
+//! by [`escape`], which maps non-ASCII and unsupported control bytes to
+//! `?`, so every line an encoder writes is ASCII. Decoders accept any
+//! standard JSON, including `\uXXXX` escapes and raw UTF-8.
 
 use super::spec::{
     parse_policy, parse_substrate_kind, parse_unit, parse_workload, policy_token, substrate_token,
@@ -22,16 +22,15 @@ use super::spec::{
 };
 use super::{ApiError, PROTO_VERSION};
 use crate::campaign::KindId;
-use crate::jsonio::{hex_u64, parse_json, Value};
 use crate::telemetry::OverflowPolicy;
+use r2d3_netlist::json::{self, hex_u64, Value};
 use std::fmt::Write as _;
 
 // --- primitives ----------------------------------------------------
 
-/// Escapes a free-text string for a wire document. Supported escapes
-/// mirror the parser exactly (`\" \\ \n \t \r`); every other control
-/// byte and all non-ASCII is replaced with `?` to keep round-trips
-/// byte-exact through the byte-oriented parser.
+/// Escapes a free-text string for a wire document: `\" \\ \n \t \r`
+/// are escaped, and every other control byte and all non-ASCII is
+/// replaced with `?`, so encoded lines stay ASCII.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -49,45 +48,19 @@ pub(crate) fn escape(s: &str) -> String {
 }
 
 fn check_version(v: &Value) -> Result<(), ApiError> {
-    let found = v
-        .get("proto_version")
-        .ok_or_else(|| ApiError::missing("proto_version"))?
-        .as_u64()
-        .ok_or_else(|| ApiError::invalid("proto_version", "must be an integer"))?;
-    if found as u32 != PROTO_VERSION {
-        return Err(ApiError::Version { found: found as u32 });
+    let found: u64 = v.int("proto_version")?;
+    if found != u64::from(PROTO_VERSION) {
+        return Err(ApiError::Version { found: u32::try_from(found).unwrap_or(u32::MAX) });
     }
     Ok(())
 }
 
-fn need<'a>(v: &'a Value, field: &str) -> Result<&'a Value, ApiError> {
-    match v.get(field) {
-        Some(Value::Null) | None => Err(ApiError::missing(field)),
-        Some(inner) => Ok(inner),
-    }
-}
-
-fn need_str<'a>(v: &'a Value, field: &str) -> Result<&'a str, ApiError> {
-    need(v, field)?.as_str().ok_or_else(|| ApiError::invalid(field, "must be a string"))
-}
-
-fn need_u64(v: &Value, field: &str) -> Result<u64, ApiError> {
-    need(v, field)?
-        .as_u64()
-        .ok_or_else(|| ApiError::invalid(field, "must be a non-negative integer"))
-}
-
-fn need_hex(v: &Value, field: &str) -> Result<u64, ApiError> {
-    need(v, field)?.as_hex_u64().ok_or_else(|| ApiError::invalid(field, "must be a hex string"))
-}
-
-fn need_job(v: &Value, field: &str) -> Result<JobId, ApiError> {
-    let token = need_str(v, field)?;
-    JobId::parse(token).map_err(|_| ApiError::invalid(field, format!("not a job id: \"{token}\"")))
+fn job(v: &Value) -> Result<JobId, ApiError> {
+    JobId::parse(v.str("job")?)
 }
 
 fn parse_doc(line: &str) -> Result<Value, ApiError> {
-    let v = parse_json(line.trim()).map_err(ApiError::Syntax)?;
+    let v = json::parse(line)?;
     check_version(&v)?;
     Ok(v)
 }
@@ -183,71 +156,44 @@ pub fn encode_spec(spec: &JobSpec) -> String {
 /// [`decode_spec`] on whole lines.)
 pub(crate) fn decode_spec_value(v: &Value) -> Result<JobSpec, ApiError> {
     check_version(v)?;
-    let priority_raw = need_u64(v, "priority")?;
-    let priority = u8::try_from(priority_raw)
-        .map_err(|_| ApiError::invalid("priority", "must fit in 0..=255"))?;
-    let kind = match need_str(v, "kind")? {
+    let priority = v.int("priority")?;
+    let kind = match v.str("kind")? {
         "campaign" => {
-            let mut substrates = Vec::new();
-            for (i, sub) in need(v, "substrates")?
-                .as_arr()
-                .ok_or_else(|| ApiError::invalid("substrates", "must be an array"))?
-                .iter()
-                .enumerate()
-            {
-                let token = sub.as_str().ok_or_else(|| {
-                    ApiError::invalid("substrates", format!("entry {i} must be a string"))
-                })?;
-                substrates.push(parse_substrate_kind(token)?);
-            }
-            let mut kinds = Vec::new();
-            for (i, k) in need(v, "kinds")?
-                .as_arr()
-                .ok_or_else(|| ApiError::invalid("kinds", "must be an array"))?
-                .iter()
-                .enumerate()
-            {
-                let token = k.as_str().ok_or_else(|| {
-                    ApiError::invalid("kinds", format!("entry {i} must be a string"))
-                })?;
-                kinds.push(
-                    KindId::from_name(token)
-                        .ok_or_else(|| ApiError::UnknownKind(token.to_string()))?,
-                );
-            }
-            let core = match v.get("core") {
-                Some(Value::Null) | None => None,
-                Some(val) => Some(
-                    val.as_str()
-                        .ok_or_else(|| ApiError::invalid("core", "must be a string or null"))?
-                        .to_string(),
-                ),
-            };
+            let substrates = v
+                .strs("substrates")?
+                .into_iter()
+                .map(parse_substrate_kind)
+                .collect::<Result<_, _>>()?;
+            let kinds = v
+                .strs("kinds")?
+                .into_iter()
+                .map(|t| KindId::from_name(t).ok_or_else(|| ApiError::UnknownKind(t.to_string())))
+                .collect::<Result<_, _>>()?;
+            let core = v.opt("core").map(|_| v.str("core")).transpose()?.map(String::from);
             JobKind::Campaign(CampaignSpec {
-                seed: need_hex(v, "seed")?,
-                scenarios: need_u64(v, "scenarios")? as usize,
+                seed: v.hex("seed")?,
+                scenarios: v.int("scenarios")?,
                 substrates,
                 kinds,
                 core,
-                shards: need_u64(v, "shards")? as usize,
+                shards: v.int("shards")?,
             })
         }
         "lifetime" => JobKind::Lifetime(LifetimeSpec {
-            policy: parse_policy(need_str(v, "policy")?)?,
-            months: need_u64(v, "months")? as usize,
-            workload: parse_workload(need_str(v, "workload")?)?,
-            seed: need_hex(v, "seed")?,
+            policy: parse_policy(v.str("policy")?)?,
+            months: v.int("months")?,
+            workload: parse_workload(v.str("workload")?)?,
+            seed: v.hex("seed")?,
         }),
         "inject" => {
-            let bit_raw = need_u64(v, "bit")?;
+            let bit = v.int("bit")?;
             JobKind::Inject(InjectSpec {
-                unit: parse_unit(need_str(v, "unit")?)?,
-                layer: need_u64(v, "layer")? as usize,
-                bit: u8::try_from(bit_raw)
-                    .map_err(|_| ApiError::invalid("bit", "must fit in 0..=255"))?,
-                substrate: parse_substrate_kind(need_str(v, "substrate")?)?,
-                seed: need_hex(v, "seed")?,
-                epochs: need_u64(v, "epochs")?,
+                unit: parse_unit(v.str("unit")?)?,
+                layer: v.int("layer")?,
+                bit,
+                substrate: parse_substrate_kind(v.str("substrate")?)?,
+                seed: v.hex("seed")?,
+                epochs: v.int("epochs")?,
             })
         }
         other => return Err(ApiError::UnknownKind(other.to_string())),
@@ -342,23 +288,17 @@ impl Request {
     /// a hostile line can never panic or kill the connection handler.
     pub fn decode(line: &str) -> Result<Request, ApiError> {
         let v = parse_doc(line)?;
-        match need_str(&v, "op")? {
+        match v.str("op")? {
             "submit" => Ok(Request::Submit {
-                client: need_str(&v, "client")?.to_string(),
-                spec: decode_spec_value(need(&v, "spec")?)?,
+                client: v.str("client")?.to_string(),
+                spec: decode_spec_value(v.field("spec")?)?,
             }),
-            "status" => Ok(Request::Status {
-                job: match v.get("job") {
-                    Some(Value::Null) | None => None,
-                    Some(_) => Some(need_job(&v, "job")?),
-                },
-            }),
-            "watch" => Ok(Request::Watch {
-                job: need_job(&v, "job")?,
-                overflow: parse_overflow(need_str(&v, "overflow")?)?,
-            }),
-            "cancel" => Ok(Request::Cancel { job: need_job(&v, "job")? }),
-            "result" => Ok(Request::Result { job: need_job(&v, "job")? }),
+            "status" => Ok(Request::Status { job: v.opt("job").map(|_| job(&v)).transpose()? }),
+            "watch" => {
+                Ok(Request::Watch { job: job(&v)?, overflow: parse_overflow(v.str("overflow")?)? })
+            }
+            "cancel" => Ok(Request::Cancel { job: job(&v)? }),
+            "result" => Ok(Request::Result { job: job(&v)? }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(ApiError::UnknownOp(other.to_string())),
         }
@@ -482,26 +422,18 @@ impl JobStatus {
     }
 
     fn decode_obj(v: &Value) -> Result<JobStatus, ApiError> {
-        let priority = u8::try_from(need_u64(v, "priority")?)
-            .map_err(|_| ApiError::invalid("priority", "must fit in 0..=255"))?;
+        let priority = v.int("priority")?;
         Ok(JobStatus {
-            id: need_job(v, "job")?,
-            client: need_str(v, "client")?.to_string(),
-            kind: kind_static(need_str(v, "kind")?)?,
+            id: job(v)?,
+            client: v.str("client")?.to_string(),
+            kind: kind_static(v.str("kind")?)?,
             priority,
-            state: JobState::parse(need_str(v, "state")?)?,
-            error: match v.get("error") {
-                Some(Value::Null) | None => None,
-                Some(val) => Some(
-                    val.as_str()
-                        .ok_or_else(|| ApiError::invalid("error", "must be a string or null"))?
-                        .to_string(),
-                ),
-            },
-            units: need_u64(v, "units")?,
-            units_done: need_u64(v, "units_done")?,
-            progress_done: need_u64(v, "progress_done")?,
-            progress_total: need_u64(v, "progress_total")?,
+            state: JobState::parse(v.str("state")?)?,
+            error: v.opt("error").map(|_| v.str("error")).transpose()?.map(String::from),
+            units: v.int("units")?,
+            units_done: v.int("units_done")?,
+            progress_done: v.int("progress_done")?,
+            progress_total: v.int("progress_total")?,
         })
     }
 }
@@ -668,32 +600,26 @@ impl JobEvent {
     /// Typed [`ApiError`] on any malformed input.
     pub fn decode(line: &str) -> Result<JobEvent, ApiError> {
         let v = parse_doc(line)?;
-        let job = need_job(&v, "job")?;
-        match need_str(&v, "event")? {
-            "accepted" => Ok(JobEvent::Accepted { job, units: need_u64(&v, "units")? }),
-            "started" => Ok(JobEvent::Started { job, unit: need_u64(&v, "unit")? }),
+        let job = job(&v)?;
+        match v.str("event")? {
+            "accepted" => Ok(JobEvent::Accepted { job, units: v.int("units")? }),
+            "started" => Ok(JobEvent::Started { job, unit: v.int("unit")? }),
             "progress" => Ok(JobEvent::Progress {
                 job,
-                unit: need_u64(&v, "unit")?,
-                done: need_u64(&v, "done")?,
-                total: need_u64(&v, "total")?,
+                unit: v.int("unit")?,
+                done: v.int("done")?,
+                total: v.int("total")?,
             }),
-            "checkpointed" => Ok(JobEvent::Checkpointed {
-                job,
-                unit: need_u64(&v, "unit")?,
-                done: need_u64(&v, "done")?,
-            }),
-            "unit_done" => Ok(JobEvent::UnitDone { job, unit: need_u64(&v, "unit")? }),
-            "worker_lost" => Ok(JobEvent::WorkerLost {
-                job,
-                unit: need_u64(&v, "unit")?,
-                done: need_u64(&v, "done")?,
-            }),
-            "degraded" => {
-                Ok(JobEvent::Degraded { job, reason: need_str(&v, "reason")?.to_string() })
+            "checkpointed" => {
+                Ok(JobEvent::Checkpointed { job, unit: v.int("unit")?, done: v.int("done")? })
             }
+            "unit_done" => Ok(JobEvent::UnitDone { job, unit: v.int("unit")? }),
+            "worker_lost" => {
+                Ok(JobEvent::WorkerLost { job, unit: v.int("unit")?, done: v.int("done")? })
+            }
+            "degraded" => Ok(JobEvent::Degraded { job, reason: v.str("reason")?.to_string() }),
             "completed" => Ok(JobEvent::Completed { job }),
-            "failed" => Ok(JobEvent::Failed { job, error: need_str(&v, "error")?.to_string() }),
+            "failed" => Ok(JobEvent::Failed { job, error: v.str("error")?.to_string() }),
             "canceled" => Ok(JobEvent::Canceled { job }),
             other => Err(ApiError::UnknownKind(other.to_string())),
         }
@@ -817,35 +743,29 @@ impl Response {
 /// Typed [`ApiError`] on any malformed input.
 pub fn decode_response(line: &str) -> Result<Response, ApiError> {
     let v = parse_doc(line)?;
-    let ok = need(&v, "ok")?.as_bool().ok_or_else(|| ApiError::invalid("ok", "must be a bool"))?;
-    if !ok {
-        let err = need(&v, "error")?;
+    if !v.bool("ok")? {
+        let err = v.field("error")?;
         return Ok(Response::Err {
-            code: need_str(err, "code")?.to_string(),
-            message: need_str(err, "message")?.to_string(),
+            code: err.str("code")?.to_string(),
+            message: err.str("message")?.to_string(),
         });
     }
-    let reply = need(&v, "reply")?;
-    match need_str(reply, "type")? {
-        "submitted" => Ok(Response::Ok(Reply::Submitted { job: need_job(reply, "job")? })),
+    let reply = v.field("reply")?;
+    match reply.str("type")? {
+        "submitted" => Ok(Response::Ok(Reply::Submitted { job: job(reply)? })),
         "jobs" => {
-            let arr = need(reply, "jobs")?
-                .as_arr()
-                .ok_or_else(|| ApiError::invalid("jobs", "must be an array"))?;
             let jobs =
-                arr.iter().map(JobStatus::decode_obj).collect::<Result<Vec<_>, ApiError>>()?;
+                reply.arr("jobs")?.iter().map(JobStatus::decode_obj).collect::<Result<_, _>>()?;
             Ok(Response::Ok(Reply::Jobs(jobs)))
         }
-        "watching" => Ok(Response::Ok(Reply::Watching { job: need_job(reply, "job")? })),
+        "watching" => Ok(Response::Ok(Reply::Watching { job: job(reply)? })),
         "canceled" => Ok(Response::Ok(Reply::Canceled {
-            job: need_job(reply, "job")?,
-            canceled: need(reply, "canceled")?
-                .as_bool()
-                .ok_or_else(|| ApiError::invalid("canceled", "must be a bool"))?,
+            job: job(reply)?,
+            canceled: reply.bool("canceled")?,
         })),
         "report" => Ok(Response::Ok(Reply::Report {
-            job: need_job(reply, "job")?,
-            report: need_str(reply, "report")?.to_string(),
+            job: job(reply)?,
+            report: reply.str("report")?.to_string(),
         })),
         "shutting_down" => Ok(Response::Ok(Reply::ShuttingDown)),
         other => Err(ApiError::UnknownKind(other.to_string())),
@@ -975,14 +895,29 @@ mod tests {
     }
 
     #[test]
+    fn standard_json_decodes_and_inexact_counts_are_refused() {
+        // What Python's `json.dumps` writes: spaces after separators and
+        // non-ASCII text as `\u` escapes.
+        let line = r#"{"proto_version": 1, "op": "submit", "client": "caf\u00e9", "spec": {"proto_version": 1, "kind": "inject", "priority": 0, "unit": "exu", "layer": 2, "bit": 5, "substrate": "behavioral", "seed": "7", "epochs": 3}}"#;
+        match Request::decode(line) {
+            Ok(Request::Submit { client, .. }) => assert_eq!(client, "café"),
+            other => panic!("expected a submit, got {other:?}"),
+        }
+        let months = r#"{"proto_version":1,"kind":"lifetime","priority":0,"policy":"lite","months":1e30,"workload":"gemm","seed":"1"}"#;
+        assert!(
+            matches!(decode_spec(months), Err(ApiError::Invalid { field, .. }) if field == "months")
+        );
+    }
+
+    #[test]
     fn escape_is_parser_exact() {
         let s = "tab\there \"quoted\" back\\slash\nnewline\rreturn café\u{7f}";
-        let line = format!("\"{}\"", escape(s));
-        let parsed = parse_json(&line).unwrap();
+        let line = format!("{{\"s\": \"{}\"}}", escape(s));
+        let parsed = json::parse(&line).unwrap();
         // Non-ASCII and unsupported control bytes were mapped to '?';
         // everything else survives byte-exactly.
         assert_eq!(
-            parsed.as_str().unwrap(),
+            parsed.str("s").unwrap(),
             "tab\there \"quoted\" back\\slash\nnewline\rreturn caf??"
         );
     }

@@ -28,9 +28,9 @@ use crate::campaign::scenario::{
     generate_scenarios_with, FaultKind, FaultScenario, Injection, KindId, ScenarioSpace, KIND_NAMES,
 };
 use crate::chaos::Vfs;
-use crate::jsonio::{hex_u64, Value};
 use crate::snapshot::{self, SnapshotError};
 use crate::telemetry::Histogram;
+use r2d3_netlist::json::{self, hex_u64, FieldError, Value};
 use r2d3_pipeline_sim::StageId;
 use std::fmt;
 use std::fmt::Write as _;
@@ -200,17 +200,8 @@ impl ShardReport {
     }
 
     fn from_body(body: &str) -> Result<Self, SnapshotError> {
-        let v = snapshot::parse_body(body)?;
-        let pair = snapshot::field(&v, "shard")?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::Malformed("\"shard\" is not an array".into()))?;
-        let (Some(index), Some(total)) =
-            (pair.first().and_then(Value::as_usize), pair.get(1).and_then(Value::as_usize))
-        else {
-            return Err(SnapshotError::Malformed("\"shard\" must be [index, total]".into()));
-        };
-        let shard = ShardSpec::new(index, total).map_err(SnapshotError::Malformed)?;
-        Ok(ShardReport { shard, report: campaign_report_from_json(&v)? })
+        let v = json::parse(body)?;
+        Ok(ShardReport { shard: shard_from_json(&v)?, report: campaign_report_from_json(&v)? })
     }
 }
 
@@ -444,48 +435,23 @@ impl CampaignState {
     }
 
     fn from_body(body: &str) -> Result<Self, SnapshotError> {
-        let v = snapshot::parse_body(body)?;
-        let config_digest = snapshot::field(&v, "config_digest")?
-            .as_hex_u64()
-            .ok_or_else(|| SnapshotError::Malformed("\"config_digest\" is not hex".into()))?;
-        let shard_field = snapshot::field(&v, "shard")?;
-        let shard = if *shard_field == Value::Null {
-            None
-        } else {
-            let pair = shard_field
-                .as_arr()
-                .ok_or_else(|| SnapshotError::Malformed("\"shard\" is not an array".into()))?;
-            let (Some(index), Some(total)) =
-                (pair.first().and_then(Value::as_usize), pair.get(1).and_then(Value::as_usize))
-            else {
-                return Err(SnapshotError::Malformed("\"shard\" must be [index, total]".into()));
-            };
-            Some(ShardSpec::new(index, total).map_err(SnapshotError::Malformed)?)
-        };
-        let completed = snapshot::field(&v, "completed")?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::Malformed("\"completed\" is not an array".into()))?
-            .iter()
-            .map(substrate_report_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let partial_results = snapshot::field(&v, "partial_results")?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::Malformed("\"partial_results\" is not an array".into()))?
-            .iter()
-            .map(scenario_result_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
+        let v = json::parse(body)?;
         Ok(CampaignState {
-            config_digest,
-            shard,
-            substrate_cursor: snapshot::field(&v, "substrate_cursor")?
-                .as_usize()
-                .ok_or_else(|| SnapshotError::Malformed("bad \"substrate_cursor\"".into()))?,
-            scenario_cursor: snapshot::field(&v, "scenario_cursor")?
-                .as_usize()
-                .ok_or_else(|| SnapshotError::Malformed("bad \"scenario_cursor\"".into()))?,
-            completed,
-            partial_results,
-            partial_metrics: sweep_metrics_from_json(snapshot::field(&v, "partial_metrics")?)?,
+            config_digest: v.hex("config_digest")?,
+            shard: v.opt("shard").map(|_| shard_from_json(&v)).transpose()?,
+            substrate_cursor: v.int("substrate_cursor")?,
+            scenario_cursor: v.int("scenario_cursor")?,
+            completed: v
+                .arr("completed")?
+                .iter()
+                .map(substrate_report_from_json)
+                .collect::<Result<_, _>>()?,
+            partial_results: v
+                .arr("partial_results")?
+                .iter()
+                .map(scenario_result_from_json)
+                .collect::<Result<_, _>>()?,
+            partial_metrics: sweep_metrics_from_json(v.field("partial_metrics")?)?,
         })
     }
 }
@@ -638,8 +604,8 @@ where
 //
 // Hand-rolled like `render_report`, but *round-trippable*: every field
 // of the Rust structures is preserved, u64 seeds travel as hex strings
-// (JSON numbers go through f64 and lose bits past 2^53), and names are
-// parsed back to the crate's `&'static str` tables.
+// (bare JSON integers are exact only below 2^53), and names are parsed
+// back to the crate's `&'static str` tables.
 
 fn substrate_report_to_json(out: &mut String, sub: &SubstrateReport) {
     let _ = write!(out, "    {{\"substrate\": \"{}\", \"results\": [", sub.substrate);
@@ -654,25 +620,21 @@ fn substrate_report_to_json(out: &mut String, sub: &SubstrateReport) {
     out.push('}');
 }
 
-fn substrate_report_from_json(v: &Value) -> Result<SubstrateReport, SnapshotError> {
-    let name = snapshot::field(v, "substrate")?
-        .as_str()
-        .ok_or_else(|| SnapshotError::Malformed("\"substrate\" is not a string".into()))?;
+fn substrate_report_from_json(v: &Value) -> Result<SubstrateReport, FieldError> {
+    let name = v.str("substrate")?;
     let substrate = [SubstrateKind::Behavioral, SubstrateKind::Netlist]
         .iter()
         .map(|k| k.name())
         .find(|n| *n == name)
-        .ok_or_else(|| SnapshotError::Malformed(format!("unknown substrate \"{name}\"")))?;
-    let results = snapshot::field(v, "results")?
-        .as_arr()
-        .ok_or_else(|| SnapshotError::Malformed("\"results\" is not an array".into()))?
-        .iter()
-        .map(scenario_result_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
+        .ok_or_else(|| FieldError::invalid("substrate", format!("unknown substrate \"{name}\"")))?;
     Ok(SubstrateReport {
         substrate,
-        results,
-        metrics: sweep_metrics_from_json(snapshot::field(v, "metrics")?)?,
+        results: v
+            .arr("results")?
+            .iter()
+            .map(scenario_result_from_json)
+            .collect::<Result<_, _>>()?,
+        metrics: sweep_metrics_from_json(v.field("metrics")?)?,
     })
 }
 
@@ -693,41 +655,26 @@ fn scenario_result_to_json(out: &mut String, r: &ScenarioResult) {
     out.push('}');
 }
 
-fn scenario_result_from_json(v: &Value) -> Result<ScenarioResult, SnapshotError> {
-    let id = snapshot::field(v, "id")?
-        .as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| SnapshotError::Malformed("\"id\" is not a u32".into()))?;
-    let kind_name = snapshot::field(v, "kind")?
-        .as_str()
-        .ok_or_else(|| SnapshotError::Malformed("\"kind\" is not a string".into()))?;
-    let kind =
-        KIND_NAMES.iter().find(|n| **n == kind_name).copied().ok_or_else(|| {
-            SnapshotError::Malformed(format!("unknown fault kind \"{kind_name}\""))
-        })?;
-    let outcome_name = snapshot::field(v, "outcome")?
-        .as_str()
-        .ok_or_else(|| SnapshotError::Malformed("\"outcome\" is not a string".into()))?;
+fn scenario_result_from_json(v: &Value) -> Result<ScenarioResult, FieldError> {
+    let kind_name = v.str("kind")?;
+    let kind = KIND_NAMES.iter().find(|n| **n == kind_name).copied().ok_or_else(|| {
+        FieldError::invalid("kind", format!("unknown fault kind \"{kind_name}\""))
+    })?;
+    let outcome_name = v.str("outcome")?;
     let outcome =
         Outcome::ALL.iter().find(|o| o.name() == outcome_name).copied().ok_or_else(|| {
-            SnapshotError::Malformed(format!("unknown outcome \"{outcome_name}\""))
+            FieldError::invalid("outcome", format!("unknown outcome \"{outcome_name}\""))
         })?;
-    let shrunk_field = snapshot::field(v, "shrunk")?;
-    let shrunk = if *shrunk_field == Value::Null {
-        None
-    } else {
-        Some(fault_scenario_from_json(shrunk_field)?)
-    };
     Ok(ScenarioResult {
-        id,
+        id: v.int("id")?,
         kind,
         outcome,
-        counts: event_counts_from_json(snapshot::field(v, "counts")?)?,
-        shrunk,
+        counts: event_counts_from_json(v.field("counts")?)?,
+        shrunk: v.opt("shrunk").map(fault_scenario_from_json).transpose()?,
     })
 }
 
-fn event_counts_to_json(out: &mut String, c: &EventCounts) {
+pub(super) fn event_counts_to_json(out: &mut String, c: &EventCounts) {
     let _ = write!(
         out,
         "{{\"symptoms\": {}, \"transients\": {}, \"permanents\": {}, \
@@ -745,26 +692,21 @@ fn event_counts_to_json(out: &mut String, c: &EventCounts) {
     );
 }
 
-fn event_counts_from_json(v: &Value) -> Result<EventCounts, SnapshotError> {
-    let n = |key: &str| -> Result<u64, SnapshotError> {
-        snapshot::field(v, key)?
-            .as_u64()
-            .ok_or_else(|| SnapshotError::Malformed(format!("\"{key}\" is not an integer")))
-    };
+fn event_counts_from_json(v: &Value) -> Result<EventCounts, FieldError> {
     Ok(EventCounts {
-        symptoms: n("symptoms")?,
-        transients: n("transients")?,
-        permanents: n("permanents")?,
-        inconclusives: n("inconclusives")?,
-        escalations: n("escalations")?,
-        recoveries: n("recoveries")?,
-        checkpoint_corruptions: n("checkpoint_corruptions")?,
-        reroutes: n("reroutes")?,
-        link_quarantines: n("link_quarantines")?,
+        symptoms: v.int("symptoms")?,
+        transients: v.int("transients")?,
+        permanents: v.int("permanents")?,
+        inconclusives: v.int("inconclusives")?,
+        escalations: v.int("escalations")?,
+        recoveries: v.int("recoveries")?,
+        checkpoint_corruptions: v.int("checkpoint_corruptions")?,
+        reroutes: v.int("reroutes")?,
+        link_quarantines: v.int("link_quarantines")?,
     })
 }
 
-fn sweep_metrics_to_json(out: &mut String, m: &SweepMetrics) {
+pub(super) fn sweep_metrics_to_json(out: &mut String, m: &SweepMetrics) {
     let _ = write!(
         out,
         "{{\"detections\": {}, \"replays\": {}, \"detection_latency\": {}, \
@@ -776,47 +718,28 @@ fn sweep_metrics_to_json(out: &mut String, m: &SweepMetrics) {
     );
 }
 
-fn sweep_metrics_from_json(v: &Value) -> Result<SweepMetrics, SnapshotError> {
-    let n = |key: &str| -> Result<u64, SnapshotError> {
-        snapshot::field(v, key)?
-            .as_u64()
-            .ok_or_else(|| SnapshotError::Malformed(format!("\"{key}\" is not an integer")))
-    };
+fn sweep_metrics_from_json(v: &Value) -> Result<SweepMetrics, FieldError> {
     Ok(SweepMetrics {
-        detections: n("detections")?,
-        replays: n("replays")?,
-        detection_latency: histogram_from_json(snapshot::field(v, "detection_latency")?)?,
-        replay_count: histogram_from_json(snapshot::field(v, "replay_count")?)?,
+        detections: v.int("detections")?,
+        replays: v.int("replays")?,
+        detection_latency: histogram_from_json(v.field("detection_latency")?)?,
+        replay_count: histogram_from_json(v.field("replay_count")?)?,
     })
 }
 
-fn histogram_from_json(v: &Value) -> Result<Histogram, SnapshotError> {
-    let arr = |key: &str| -> Result<Vec<u64>, SnapshotError> {
-        snapshot::field(v, key)?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::Malformed(format!("\"{key}\" is not an array")))?
-            .iter()
-            .map(|e| {
-                e.as_u64()
-                    .ok_or_else(|| SnapshotError::Malformed(format!("\"{key}\" entry not a u64")))
-            })
-            .collect()
-    };
-    let n = |key: &str| -> Result<u64, SnapshotError> {
-        snapshot::field(v, key)?
-            .as_u64()
-            .ok_or_else(|| SnapshotError::Malformed(format!("\"{key}\" is not an integer")))
-    };
-    let bounds: [u64; 7] = arr("bounds")?
+fn histogram_from_json(v: &Value) -> Result<Histogram, FieldError> {
+    let bounds: [u64; 7] = v
+        .ints("bounds")?
         .try_into()
-        .map_err(|_| SnapshotError::Malformed("histogram needs 7 bounds".into()))?;
+        .map_err(|_| FieldError::invalid("bounds", "must hold 7 entries"))?;
     if !bounds.windows(2).all(|w| w[0] < w[1]) {
-        return Err(SnapshotError::Malformed("histogram bounds must increase".into()));
+        return Err(FieldError::invalid("bounds", "must increase"));
     }
-    let counts: [u64; 8] = arr("counts")?
+    let counts: [u64; 8] = v
+        .ints("counts")?
         .try_into()
-        .map_err(|_| SnapshotError::Malformed("histogram needs 8 counts".into()))?;
-    Ok(Histogram::from_parts(bounds, counts, n("total")?, n("sum")?, n("max")?))
+        .map_err(|_| FieldError::invalid("counts", "must hold 8 entries"))?;
+    Ok(Histogram::from_parts(bounds, counts, v.int("total")?, v.int("sum")?, v.int("max")?))
 }
 
 fn fault_scenario_to_json(out: &mut String, sc: &FaultScenario) {
@@ -839,42 +762,26 @@ fn fault_scenario_to_json(out: &mut String, sc: &FaultScenario) {
     out.push_str("]}");
 }
 
-fn fault_scenario_from_json(v: &Value) -> Result<FaultScenario, SnapshotError> {
-    let id = snapshot::field(v, "id")?
-        .as_u64()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| SnapshotError::Malformed("scenario \"id\" is not a u32".into()))?;
-    let epochs = snapshot::field(v, "epochs")?
-        .as_u64()
-        .ok_or_else(|| SnapshotError::Malformed("\"epochs\" is not an integer".into()))?;
-    let injections = snapshot::field(v, "injections")?
-        .as_arr()
-        .ok_or_else(|| SnapshotError::Malformed("\"injections\" is not an array".into()))?
-        .iter()
-        .map(injection_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
+fn fault_scenario_from_json(v: &Value) -> Result<FaultScenario, FieldError> {
     Ok(FaultScenario {
-        id,
-        kind: fault_kind_from_json(snapshot::field(v, "kind")?)?,
-        injections,
-        epochs,
+        id: v.int("id")?,
+        kind: fault_kind_from_json(v.field("kind")?)?,
+        injections: v
+            .arr("injections")?
+            .iter()
+            .map(injection_from_json)
+            .collect::<Result<_, _>>()?,
+        epochs: v.int("epochs")?,
     })
 }
 
-fn injection_from_json(v: &Value) -> Result<Injection, SnapshotError> {
-    let epoch = snapshot::field(v, "epoch")?
-        .as_u64()
-        .ok_or_else(|| SnapshotError::Malformed("injection \"epoch\" is not an integer".into()))?;
-    let stage = snapshot::field(v, "stage")?
-        .as_usize()
-        .ok_or_else(|| SnapshotError::Malformed("injection \"stage\" is not an index".into()))?;
-    let pipe = snapshot::field(v, "pipe")?
-        .as_usize()
-        .ok_or_else(|| SnapshotError::Malformed("injection \"pipe\" is not an index".into()))?;
-    let seed = snapshot::field(v, "seed")?
-        .as_hex_u64()
-        .ok_or_else(|| SnapshotError::Malformed("injection \"seed\" is not hex".into()))?;
-    Ok(Injection { epoch, stage: StageId::from_flat_index(stage), pipe, seed })
+fn injection_from_json(v: &Value) -> Result<Injection, FieldError> {
+    Ok(Injection {
+        epoch: v.int("epoch")?,
+        stage: StageId::from_flat_index(v.int("stage")?),
+        pipe: v.int("pipe")?,
+        seed: v.hex("seed")?,
+    })
 }
 
 fn fault_kind_to_json(out: &mut String, kind: FaultKind) {
@@ -891,24 +798,13 @@ fn fault_kind_to_json(out: &mut String, kind: FaultKind) {
     }
 }
 
-fn fault_kind_from_json(v: &Value) -> Result<FaultKind, SnapshotError> {
-    let name = snapshot::field(v, "name")?
-        .as_str()
-        .ok_or_else(|| SnapshotError::Malformed("fault-kind \"name\" is not a string".into()))?;
-    Ok(match name {
+fn fault_kind_from_json(v: &Value) -> Result<FaultKind, FieldError> {
+    Ok(match v.str("name")? {
         "permanent" => FaultKind::Permanent,
         "transient" => FaultKind::Transient,
-        "intermittent" => FaultKind::Intermittent {
-            period: snapshot::field(v, "period")?.as_u64().ok_or_else(|| {
-                SnapshotError::Malformed("intermittent \"period\" is not an integer".into())
-            })?,
-        },
+        "intermittent" => FaultKind::Intermittent { period: v.int("period")? },
         "burst" => FaultKind::Burst,
-        "checker_corrupt" => FaultKind::CheckerCorrupt {
-            persistent: snapshot::field(v, "persistent")?.as_bool().ok_or_else(|| {
-                SnapshotError::Malformed("checker_corrupt \"persistent\" is not a bool".into())
-            })?,
-        },
+        "checker_corrupt" => FaultKind::CheckerCorrupt { persistent: v.bool("persistent")? },
         "replay_corrupt" => FaultKind::ReplayCorrupt,
         "checkpoint_corrupt" => FaultKind::CheckpointCorrupt,
         "mid_window" => FaultKind::MidWindow,
@@ -918,40 +814,39 @@ fn fault_kind_from_json(v: &Value) -> Result<FaultKind, SnapshotError> {
         "crosstalk" => FaultKind::Crosstalk,
         "mux_select" => FaultKind::MuxSelect,
         "seu_burst" => FaultKind::SeuBurst,
-        other => return Err(SnapshotError::Malformed(format!("unknown fault kind \"{other}\""))),
+        other => {
+            return Err(FieldError::invalid("name", format!("unknown fault kind \"{other}\"")))
+        }
     })
 }
 
-fn campaign_report_from_json(v: &Value) -> Result<CampaignReport, SnapshotError> {
-    let kinds = snapshot::field(v, "kinds")?
-        .as_arr()
-        .ok_or_else(|| SnapshotError::Malformed("\"kinds\" is not an array".into()))?
-        .iter()
-        .map(|k| {
-            let name = k
-                .as_str()
-                .ok_or_else(|| SnapshotError::Malformed("kind name is not a string".into()))?;
-            KindId::from_name(name)
-                .map(KindId::name)
-                .ok_or_else(|| SnapshotError::Malformed(format!("unknown fault kind \"{name}\"")))
+/// The `"shard": [index, total]` pair of a shard report or sharded state.
+fn shard_from_json(v: &Value) -> Result<ShardSpec, FieldError> {
+    let [index, total] = v.ints("shard")?[..] else {
+        return Err(FieldError::invalid("shard", "must be [index, total]"));
+    };
+    ShardSpec::new(index, total).map_err(|e| FieldError::invalid("shard", e))
+}
+
+fn campaign_report_from_json(v: &Value) -> Result<CampaignReport, FieldError> {
+    let kinds = v
+        .strs("kinds")?
+        .into_iter()
+        .map(|name| {
+            KindId::from_name(name).map(KindId::name).ok_or_else(|| {
+                FieldError::invalid("kinds", format!("unknown fault kind \"{name}\""))
+            })
         })
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<_, _>>()?;
     Ok(CampaignReport {
-        seed: snapshot::field(v, "seed")?
-            .as_hex_u64()
-            .ok_or_else(|| SnapshotError::Malformed("\"seed\" is not hex".into()))?,
-        scenarios_per_substrate: snapshot::field(v, "scenarios_per_substrate")?
-            .as_usize()
-            .ok_or_else(|| {
-                SnapshotError::Malformed("\"scenarios_per_substrate\" is not an integer".into())
-            })?,
+        seed: v.hex("seed")?,
+        scenarios_per_substrate: v.int("scenarios_per_substrate")?,
         kinds,
-        substrates: snapshot::field(v, "substrates")?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::Malformed("\"substrates\" is not an array".into()))?
+        substrates: v
+            .arr("substrates")?
             .iter()
             .map(substrate_report_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
+            .collect::<Result<_, _>>()?,
     })
 }
 

@@ -5,7 +5,8 @@
 //! byte-identical document on every run and every machine, so reports
 //! can be diffed (and CI can assert on them) directly.
 
-use crate::campaign::runner::{CampaignReport, EventCounts, Outcome, SubstrateReport};
+use crate::campaign::durable::{event_counts_to_json, sweep_metrics_to_json};
+use crate::campaign::runner::{CampaignReport, Outcome, SubstrateReport};
 use crate::campaign::scenario::{FaultScenario, Injection, KIND_NAMES};
 use std::fmt::Write;
 
@@ -58,18 +59,10 @@ fn render_substrate(out: &mut String, sub: &SubstrateReport) {
     out.push_str("      },\n");
 
     out.push_str("      \"events\": ");
-    render_counts(out, &sub.total_counts());
+    event_counts_to_json(out, &sub.total_counts());
+    out.push_str(",\n      \"metrics\": ");
+    sweep_metrics_to_json(out, &sub.metrics);
     out.push_str(",\n");
-
-    let _ = writeln!(
-        out,
-        "      \"metrics\": {{\"detections\": {}, \"replays\": {}, \
-         \"detection_latency\": {}, \"replay_count\": {}}},",
-        sub.metrics.detections,
-        sub.metrics.replays,
-        sub.metrics.detection_latency.to_json(),
-        sub.metrics.replay_count.to_json()
-    );
 
     out.push_str("      \"results\": [\n");
     for (i, r) in sub.results.iter().enumerate() {
@@ -98,7 +91,7 @@ fn render_substrate(out: &mut String, sub: &SubstrateReport) {
                 r.kind,
                 r.outcome.name()
             );
-            render_counts(out, &r.counts);
+            event_counts_to_json(out, &r.counts);
             if let Some(shrunk) = &r.shrunk {
                 out.push_str(", \"shrunk\": ");
                 render_scenario(out, shrunk);
@@ -109,24 +102,6 @@ fn render_substrate(out: &mut String, sub: &SubstrateReport) {
         out.push_str("      ]\n");
     }
     out.push_str("    }");
-}
-
-fn render_counts(out: &mut String, c: &EventCounts) {
-    let _ = write!(
-        out,
-        "{{\"symptoms\": {}, \"transients\": {}, \"permanents\": {}, \
-         \"inconclusives\": {}, \"escalations\": {}, \"recoveries\": {}, \
-         \"checkpoint_corruptions\": {}, \"reroutes\": {}, \"link_quarantines\": {}}}",
-        c.symptoms,
-        c.transients,
-        c.permanents,
-        c.inconclusives,
-        c.escalations,
-        c.recoveries,
-        c.checkpoint_corruptions,
-        c.reroutes,
-        c.link_quarantines
-    );
 }
 
 fn render_scenario(out: &mut String, sc: &FaultScenario) {
@@ -151,7 +126,7 @@ fn render_injection(out: &mut String, inj: &Injection) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::runner::ScenarioResult;
+    use crate::campaign::runner::{EventCounts, ScenarioResult};
     use crate::campaign::scenario::FaultKind;
     use r2d3_isa::Unit;
     use r2d3_pipeline_sim::StageId;

@@ -25,11 +25,10 @@ use r2d3_isa::kernels::trap_mix;
 use r2d3_isa::{Program, Unit};
 use r2d3_netlist::stages::StageNetlist;
 use r2d3_pipeline_sim::{StageId, System3d, SystemConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Which substrate a sweep runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateKind {
     /// Instruction-level behavioral simulator ([`System3d`]).
     Behavioral,
@@ -49,7 +48,7 @@ impl SubstrateKind {
 }
 
 /// End-to-end verdict on one scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// The fault never manifested architecturally and nothing fired.
     Benign,
@@ -120,7 +119,7 @@ impl Outcome {
 }
 
 /// Engine-event tallies over one scenario.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EventCounts {
     /// Checker firings.
     pub symptoms: u64,
@@ -144,7 +143,7 @@ pub struct EventCounts {
 }
 
 /// One scenario's result on one substrate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioResult {
     /// Scenario id (stable across substrates).
     pub id: u32,
@@ -163,7 +162,7 @@ pub struct ScenarioResult {
 /// [`MetricsSnapshot`]s, which accumulate independently of the
 /// telemetry sink — so a traced campaign reports byte-identical
 /// metrics to an untraced one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepMetrics {
     /// Checker firings across the sweep.
     pub detections: u64,
@@ -197,7 +196,7 @@ impl SweepMetrics {
 }
 
 /// One substrate's sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubstrateReport {
     /// Substrate name.
     pub substrate: &'static str,
@@ -234,7 +233,7 @@ impl SubstrateReport {
 }
 
 /// Full campaign output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignReport {
     /// Campaign seed.
     pub seed: u64,

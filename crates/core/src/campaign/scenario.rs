@@ -11,7 +11,6 @@ use r2d3_isa::Unit;
 use r2d3_pipeline_sim::StageId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Units the generator injects into. FFU is excluded: the behavioral
 /// campaign workload (trap-mix) performs no floating-point work, so FFU
@@ -24,7 +23,7 @@ pub const INJECTABLE_UNITS: [Unit; 4] = [Unit::Ifu, Unit::Exu, Unit::Lsu, Unit::
 /// `--kinds` CLI filter and the round-robin generator all derive from
 /// [`KindId::ALL`] / [`KindId::name`], so adding a kind here is the only
 /// hand-edit — every table is exhaustive-match checked by the compiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KindId {
     /// See [`FaultKind::Permanent`].
     Permanent,
@@ -108,7 +107,7 @@ impl KindId {
 }
 
 /// The adversarial fault classes the campaign exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A stuck-at defect that persists from injection onwards.
     Permanent,
@@ -211,7 +210,7 @@ pub const KIND_NAMES: [&str; KindId::COUNT] = {
 };
 
 /// One injection action of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Injection {
     /// Runner epoch (0-based) at whose start the action is applied.
     pub epoch: u64,
@@ -226,7 +225,7 @@ pub struct Injection {
 }
 
 /// A complete adversarial experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultScenario {
     /// Index within the campaign (stable across substrates).
     pub id: u32,

@@ -14,11 +14,10 @@
 //! disagree.
 
 use r2d3_pipeline_sim::{FaultEffect, StageRecord};
-use serde::{Deserialize, Serialize};
 
 /// A detected symptom: the record on which DUT and redundant outputs
 /// disagreed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Symptom {
     /// The disagreeing record.
     pub record: StageRecord,

@@ -20,10 +20,9 @@
 use crate::substrate::ReliabilitySubstrate;
 use crate::EngineError;
 use r2d3_pipeline_sim::PipelineCheckpoint;
-use serde::{Deserialize, Serialize};
 
 /// Checkpointing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Commit a checkpoint every `interval_epochs` clean epochs.
     pub interval_epochs: u64,
@@ -53,7 +52,7 @@ impl Default for CheckpointConfig {
 }
 
 /// Recovery accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckpointStats {
     /// Checkpoints committed.
     pub commits: u64,

@@ -1,9 +1,7 @@
 //! Engine configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// R2D3 engine parameters (§III-C and §III-E of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct R2d3Config {
     /// Epoch length in cycles (`T_epoch`): how often each stage is tested.
     pub t_epoch: u64,

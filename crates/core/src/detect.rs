@@ -14,11 +14,10 @@ use crate::config::R2d3Config;
 use crate::substrate::ReliabilitySubstrate;
 use r2d3_isa::Unit;
 use r2d3_pipeline_sim::StageId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// How the redundant stage for a test was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedundantSource {
     /// A genuine leftover (idle functional stage).
     Leftover,
@@ -30,7 +29,7 @@ pub enum RedundantSource {
 }
 
 /// One positive detection from an epoch scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Detection {
     /// Pipeline whose stage was under test.
     pub pipe: usize,

@@ -17,11 +17,10 @@ use crate::telemetry::{
 use crate::EngineError;
 use r2d3_isa::Unit;
 use r2d3_pipeline_sim::{StageId, System3d};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Events the controller emitted during an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineEvent {
     /// A checker fired for this DUT stage.
     Symptom {

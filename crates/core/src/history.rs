@@ -25,14 +25,13 @@
 //! within an epoch (see the property tests).
 
 use r2d3_pipeline_sim::StageId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Fixed-point scale of the symptom counters (1 symptom = 1024).
 pub const SYMPTOM_SCALE: u32 = 1024;
 
 /// Escalation policy for recurring transient verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EscalationConfig {
     /// Per-epoch retained fraction of every counter, as `num / den`
     /// (must satisfy `num < den`; e.g. 15/16 keeps ≈ 94 % per epoch,

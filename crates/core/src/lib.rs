@@ -75,7 +75,6 @@ pub mod config;
 pub mod detect;
 pub mod engine;
 pub mod history;
-pub(crate) mod jsonio;
 pub mod lifetime;
 pub mod policy;
 pub mod repair;

@@ -15,7 +15,6 @@
 //! split the paper uses between gem5 runs and the reliability evaluation.
 
 use crate::activity::{pro_layer_weights, weighted_fill};
-use crate::jsonio::Value;
 use crate::policy::PolicyKind;
 use crate::repair::{
     core_level_failure_time, core_level_formable, stage_level_failure_time, stage_level_formable,
@@ -27,18 +26,18 @@ use r2d3_aging::mttf::{mttf_of_failure_times, MttfConfig};
 use r2d3_aging::nbti::{NbtiModel, NbtiParams, NbtiState};
 use r2d3_aging::{kelvin, BOLTZMANN_EV, SECONDS_PER_MONTH};
 use r2d3_isa::Unit;
+use r2d3_netlist::json::{self, hex_u64, FieldError, Value};
 use r2d3_physical::{DesignVariant, PhysicalModel};
 use r2d3_pipeline_sim::StageId;
 use r2d3_thermal::{Floorplan, GridConfig, PowerMap, TemperatureField, ThermalGrid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::path::Path;
 
 /// Which system-failure criterion the forward-MTTF Monte Carlo uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MttfCriterion {
     /// System fails when no complete logical pipeline can be formed
     /// (total loss). Produces the paper's declining Fig. 5(b) shape.
@@ -50,7 +49,7 @@ pub enum MttfCriterion {
 }
 
 /// Hard-fault arrival model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityParams {
     /// Baseline per-stage hard-fault rate (per month) at the reference
     /// temperature with a fresh device.
@@ -86,7 +85,7 @@ impl Default for ReliabilityParams {
 }
 
 /// Configuration of one lifetime run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeConfig {
     /// Policy under evaluation.
     pub policy: PolicyKind,
@@ -147,7 +146,7 @@ impl LifetimeConfig {
 /// Short-timescale execution profile measured on a live substrate — the
 /// cycle-level leg of the paper's two-timescale split, feeding the
 /// month-level lifetime co-simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubstrateProfile {
     /// Operations retired per cycle per pipeline (instructions on the
     /// behavioral substrate, pattern lanes on the gate-level one).
@@ -206,7 +205,7 @@ impl LifetimeConfig {
 }
 
 /// Time series produced by the lifetime simulation (replica-averaged).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LifetimeSeries {
     /// Month index of each sample.
     pub months: Vec<f64>,
@@ -227,7 +226,7 @@ pub struct LifetimeSeries {
 }
 
 /// Result of a lifetime run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeOutcome {
     /// Policy evaluated.
     pub policy: PolicyKind,
@@ -413,7 +412,7 @@ impl LifetimeRunState {
 
     fn to_body(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"config_digest\": {},", jsonio_hex(self.config_digest));
+        let _ = writeln!(out, "  \"config_digest\": {},", hex_u64(self.config_digest));
         let _ = writeln!(out, "  \"replica\": {},", self.replica);
         let _ = writeln!(out, "  \"month\": {},", self.month);
         let _ = writeln!(out, "  \"acc\": {},", series_to_json(&self.acc));
@@ -421,10 +420,10 @@ impl LifetimeRunState {
         let _ = writeln!(
             out,
             "  \"rng\": [{}, {}, {}, {}],",
-            jsonio_hex(self.rng[0]),
-            jsonio_hex(self.rng[1]),
-            jsonio_hex(self.rng[2]),
-            jsonio_hex(self.rng[3])
+            hex_u64(self.rng[0]),
+            hex_u64(self.rng[1]),
+            hex_u64(self.rng[2]),
+            hex_u64(self.rng[3])
         );
         out.push_str("  \"alive\": [");
         for (i, a) in self.alive.iter().enumerate() {
@@ -449,54 +448,22 @@ impl LifetimeRunState {
     }
 
     fn from_body(body: &str) -> Result<Self, SnapshotError> {
-        let v = snapshot::parse_body(body)?;
-        let usize_of = |key: &str| -> Result<usize, SnapshotError> {
-            snapshot::field(&v, key)?.as_usize().ok_or_else(|| {
-                SnapshotError::Malformed(format!("field \"{key}\" is not an integer"))
-            })
-        };
-        let floats = |key: &str| -> Result<Vec<f64>, SnapshotError> {
-            crate::snapshot::json_to_f64_vec(snapshot::field(&v, key)?)
-        };
-        let rng_arr = snapshot::field(&v, "rng")?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::Malformed("\"rng\" is not an array".into()))?;
-        if rng_arr.len() != 4 {
-            return Err(SnapshotError::Malformed("\"rng\" must have 4 words".into()));
-        }
-        let mut rng = [0u64; 4];
-        for (slot, w) in rng.iter_mut().zip(rng_arr) {
-            *slot = w
-                .as_hex_u64()
-                .ok_or_else(|| SnapshotError::Malformed("\"rng\" word is not hex".into()))?;
-        }
-        let alive = snapshot::field(&v, "alive")?
-            .as_arr()
-            .ok_or_else(|| SnapshotError::Malformed("\"alive\" is not an array".into()))?
-            .iter()
-            .map(|b| {
-                b.as_bool()
-                    .ok_or_else(|| SnapshotError::Malformed("\"alive\" entry not a bool".into()))
-            })
-            .collect::<Result<Vec<bool>, _>>()?;
-        let warm_cells = match snapshot::field(&v, "warm_cells")? {
-            Value::Null => None,
-            cells => Some(snapshot::json_to_f64_vec(cells)?),
-        };
+        let v = json::parse(body)?;
         Ok(LifetimeRunState {
-            config_digest: snapshot::field(&v, "config_digest")?.as_hex_u64().ok_or_else(|| {
-                SnapshotError::Malformed("field \"config_digest\" is not a hex u64".into())
-            })?,
-            replica: usize_of("replica")?,
-            month: usize_of("month")?,
-            acc: series_from_json(snapshot::field(&v, "acc")?)?,
-            map: floats("map")?,
-            rng,
-            alive,
-            wear: floats("wear")?,
-            series: series_from_json(snapshot::field(&v, "series")?)?,
-            hot_map_month0: floats("hot_map_month0")?,
-            warm_cells,
+            config_digest: v.hex("config_digest")?,
+            replica: v.int("replica")?,
+            month: v.int("month")?,
+            acc: series_from_json(v.field("acc")?)?,
+            map: floats(&v, "map")?,
+            rng: v
+                .hexes("rng")?
+                .try_into()
+                .map_err(|_| FieldError::invalid("rng", "must hold 4 words"))?,
+            alive: v.bools("alive")?,
+            wear: floats(&v, "wear")?,
+            series: series_from_json(v.field("series")?)?,
+            hot_map_month0: floats(&v, "hot_map_month0")?,
+            warm_cells: v.opt("warm_cells").map(|_| floats(&v, "warm_cells")).transpose()?,
         })
     }
 }
@@ -505,11 +472,6 @@ impl LifetimeRunState {
 struct DurableCursor {
     acc: LifetimeSeries,
     map: Vec<f64>,
-}
-
-/// Writes a `u64` as the snapshot hex-string token.
-fn jsonio_hex(v: u64) -> String {
-    crate::jsonio::hex_u64(v)
 }
 
 /// Digest identifying a [`LifetimeConfig`] (FNV-1a over its canonical
@@ -534,18 +496,20 @@ fn series_to_json(s: &LifetimeSeries) -> String {
     )
 }
 
+/// Reads an array written by [`snapshot::f64_slice_to_json`].
+fn floats(v: &Value, key: &str) -> Result<Vec<f64>, FieldError> {
+    Ok(v.hexes(key)?.into_iter().map(f64::from_bits).collect())
+}
+
 fn series_from_json(v: &Value) -> Result<LifetimeSeries, SnapshotError> {
-    let floats = |key: &str| -> Result<Vec<f64>, SnapshotError> {
-        crate::snapshot::json_to_f64_vec(snapshot::field(v, key)?)
-    };
     let series = LifetimeSeries {
-        months: floats("months")?,
-        mean_vth: floats("mean_vth")?,
-        max_vth: floats("max_vth")?,
-        mttf_months: floats("mttf_months")?,
-        norm_ipc: floats("norm_ipc")?,
-        active_pipelines: floats("active_pipelines")?,
-        hottest_layer_temp: floats("hottest_layer_temp")?,
+        months: floats(v, "months")?,
+        mean_vth: floats(v, "mean_vth")?,
+        max_vth: floats(v, "max_vth")?,
+        mttf_months: floats(v, "mttf_months")?,
+        norm_ipc: floats(v, "norm_ipc")?,
+        active_pipelines: floats(v, "active_pipelines")?,
+        hottest_layer_temp: floats(v, "hottest_layer_temp")?,
     };
     let n = series.months.len();
     if [
@@ -613,17 +577,16 @@ impl LifetimeSim {
             }
         } else {
             let chunk_len = cfg.replicas.div_ceil(threads);
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (ci, chunk) in results.chunks_mut(chunk_len).enumerate() {
                     let grid = &grid;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (j, slot) in chunk.iter_mut().enumerate() {
                             *slot = Some(self.run_replica(ci * chunk_len + j, grid));
                         }
                     });
                 }
-            })
-            .expect("lifetime replica scope failed");
+            });
         }
 
         let mut acc = LifetimeSeries::default();

@@ -4,11 +4,10 @@ use crate::activity::pro_layer_weights;
 use crate::repair::{form_pipelines, FormedPipeline};
 use r2d3_isa::Unit;
 use r2d3_pipeline_sim::StageId;
-use serde::{Deserialize, Serialize};
 
 /// The four system configurations compared throughout the paper's
 /// evaluation (§V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// 3D stack without reconfiguration: a core dies with its first
     /// faulty stage, and nothing rotates.
@@ -66,7 +65,7 @@ impl std::fmt::Display for PolicyKind {
 }
 
 /// Rotation bookkeeping carried across calibration windows.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RotationState {
     /// Round-robin offset (Lite).
     pub offset: usize,

@@ -9,10 +9,9 @@
 
 use r2d3_isa::Unit;
 use r2d3_pipeline_sim::StageId;
-use serde::{Deserialize, Serialize};
 
 /// A formed logical pipeline: the layer serving each unit slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FormedPipeline {
     /// `layer_of[unit.index()]` = physical layer serving that unit.
     pub layer_of: [usize; 5],

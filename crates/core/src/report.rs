@@ -2,11 +2,10 @@
 
 use r2d3_isa::kernels::{fft, gemm, gemv, KernelKind};
 use r2d3_pipeline_sim::{System3d, SystemConfig};
-use serde::{Deserialize, Serialize};
 
 /// Measured cycle-level profile of one workload (the short-timescale leg
 /// of the two-timescale methodology).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelProfile {
     /// Which workload.
     pub kind: KernelKind,

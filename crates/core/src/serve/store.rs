@@ -17,8 +17,8 @@
 use crate::api::wire::{decode_spec_value, encode_spec, JobState, JobStatus};
 use crate::api::{JobId, JobSpec, PROTO_VERSION};
 use crate::chaos::{IoEnv, Vfs};
-use crate::jsonio;
 use crate::snapshot::{self, SnapshotError};
+use r2d3_netlist::json::{self, hex_u64};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -118,7 +118,7 @@ impl JobRec {
     pub(crate) fn save(&self, env: &IoEnv, state_dir: &Path) -> Result<(), SnapshotError> {
         let mut body = format!(
             "{{\"proto_version\":{PROTO_VERSION},\"id\":{},\"client\":\"{}\",\"seq\":{},\"state\":\"{}\",\"error\":",
-            jsonio::hex_u64(self.id),
+            hex_u64(self.id),
             crate::api::wire::escape(&self.client),
             self.seq,
             self.state.token(),
@@ -161,44 +161,26 @@ impl JobRec {
 
     /// Loads and validates a manifest.
     pub(crate) fn load(vfs: &dyn Vfs, path: &Path) -> Result<JobRec, SnapshotError> {
-        let body = snapshot::read_verified_with(vfs, path, JOB_KIND)?;
-        let v = snapshot::parse_body(&body)?;
-        let bad = |msg: &str| SnapshotError::Malformed(msg.into());
-        let id = snapshot::field(&v, "id")?.as_hex_u64().ok_or_else(|| bad("bad \"id\""))?;
-        let spec = decode_spec_value(snapshot::field(&v, "spec")?)
+        let v = json::parse(&snapshot::read_verified_with(vfs, path, JOB_KIND)?)?;
+        let id = v.hex("id")?;
+        let spec = decode_spec_value(v.field("spec")?)
             .map_err(|e| SnapshotError::Malformed(format!("job spec: {e}")))?;
-        let unit_done: Vec<bool> = snapshot::field(&v, "unit_done")?
-            .as_arr()
-            .ok_or_else(|| bad("bad \"unit_done\""))?
-            .iter()
-            .map(|b| b.as_bool().ok_or_else(|| bad("bad \"unit_done\" entry")))
-            .collect::<Result<_, _>>()?;
-        let unit_progress: Vec<u64> = snapshot::field(&v, "unit_progress")?
-            .as_arr()
-            .ok_or_else(|| bad("bad \"unit_progress\""))?
-            .iter()
-            .map(|p| p.as_u64().ok_or_else(|| bad("bad \"unit_progress\" entry")))
-            .collect::<Result<_, _>>()?;
+        let unit_done = v.bools("unit_done")?;
+        let unit_progress = v.ints("unit_progress")?;
         if unit_done.len() as u64 != spec.units() || unit_progress.len() != unit_done.len() {
-            return Err(bad("unit arrays do not match the spec's unit count"));
+            return Err(SnapshotError::Malformed(
+                "unit arrays do not match the spec's unit count".into(),
+            ));
         }
-        let state = JobState::parse(
-            snapshot::field(&v, "state")?.as_str().ok_or_else(|| bad("bad \"state\""))?,
-        )
-        .map_err(|e| SnapshotError::Malformed(format!("job state: {e}")))?;
+        let state = JobState::parse(v.str("state")?)
+            .map_err(|e| SnapshotError::Malformed(format!("job state: {e}")))?;
         Ok(JobRec {
             id,
-            client: snapshot::field(&v, "client")?
-                .as_str()
-                .ok_or_else(|| bad("bad \"client\""))?
-                .to_string(),
-            seq: snapshot::field(&v, "seq")?.as_u64().ok_or_else(|| bad("bad \"seq\""))?,
+            client: v.str("client")?.to_string(),
+            seq: v.int("seq")?,
             spec,
             state,
-            error: match v.get("error") {
-                Some(jsonio::Value::Null) | None => None,
-                Some(val) => Some(val.as_str().ok_or_else(|| bad("bad \"error\""))?.to_string()),
-            },
+            error: v.opt("error").map(|_| v.str("error")).transpose()?.map(String::from),
             unit_done,
             unit_progress,
             running_units: 0,

@@ -22,10 +22,9 @@ use r2d3_isa::Unit;
 use r2d3_pipeline_sim::{FaultEffect, StageId, System3d, SystemConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one injected transient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SoftErrorOutcome {
     /// Detected and classified transient by the engine.
     Caught,
@@ -42,7 +41,7 @@ pub enum SoftErrorOutcome {
 }
 
 /// Aggregate campaign results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SoftErrorReport {
     /// Transients injected.
     pub injected: usize,
@@ -73,7 +72,7 @@ impl SoftErrorReport {
 }
 
 /// Campaign parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftErrorConfig {
     /// Transients to inject (one per trial; each trial is a fresh system).
     pub injections: usize,

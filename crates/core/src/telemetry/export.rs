@@ -1,7 +1,6 @@
 //! Trace exporters and schema validators.
 //!
-//! Two textual formats, both hand-rolled (the vendored `serde` is a
-//! no-op marker crate) and byte-deterministic:
+//! Two textual formats, both hand-written and byte-deterministic:
 //!
 //! * **JSON-lines** — one object per [`TelemetryRecord`], first keys
 //!   always `epoch`, `cycle`, `type`; greppable and diffable.
@@ -10,13 +9,14 @@
 //!   spans become `"X"` complete events; everything else is an `"i"`
 //!   instant event carried with its fields in `args`.
 //!
-//! The validators parse with the crate's minimal JSON reader
-//! ([`crate::jsonio`]) and check the schema the golden-file tests pin,
-//! so CI can verify an emitted trace without any external tooling.
+//! The validators parse with the workspace's JSON reader
+//! ([`r2d3_netlist::json`]) and check the schema the golden-file tests
+//! pin, so CI can verify an emitted trace without any external tooling.
 
 use super::{TelemetryEvent, TelemetryRecord};
-use crate::jsonio::{parse_json, Value};
 use crate::lifetime::LifetimeSeries;
+use r2d3_netlist::json::{self, Value};
+use std::error::Error;
 use std::fmt::Write;
 
 /// Pushes `"key": value` pairs for one event into `out` (no leading
@@ -242,22 +242,21 @@ pub fn validate_json_lines(text: &str) -> Result<usize, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        for key in ["epoch", "cycle"] {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("line {}: missing integer \"{key}\"", i + 1))?;
-        }
-        let ty = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: missing string \"type\"", i + 1))?;
-        if !TelemetryEvent::NAMES.contains(&ty) {
-            return Err(format!("line {}: unknown event type \"{ty}\"", i + 1));
-        }
+        validate_record(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         count += 1;
     }
     Ok(count)
+}
+
+fn validate_record(line: &str) -> Result<(), Box<dyn Error>> {
+    let v = json::parse(line)?;
+    v.int::<u64>("epoch")?;
+    v.int::<u64>("cycle")?;
+    let ty = v.str("type")?;
+    if !TelemetryEvent::NAMES.contains(&ty) {
+        return Err(format!("unknown event type \"{ty}\"").into());
+    }
+    Ok(())
 }
 
 /// Validates a Chrome trace-event file (object form): `traceEvents`
@@ -265,29 +264,29 @@ pub fn validate_json_lines(text: &str) -> Result<usize, String> {
 /// in {M, X, i, C} and integer `pid`/`tid`, with `ts` (and `dur` for
 /// `"X"`) integers on non-metadata events. Returns the event count.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let v = parse_json(text)?;
-    let events = match v.get("traceEvents") {
-        Some(Value::Arr(items)) => items,
-        _ => return Err("missing \"traceEvents\" array".to_string()),
-    };
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let events = doc.arr("traceEvents").map_err(|e| e.to_string())?;
     for (i, ev) in events.iter().enumerate() {
-        let err = |msg: &str| format!("traceEvents[{i}]: {msg}");
-        ev.get("name").and_then(Value::as_str).ok_or_else(|| err("missing string \"name\""))?;
-        let ph =
-            ev.get("ph").and_then(Value::as_str).ok_or_else(|| err("missing string \"ph\""))?;
-        if !matches!(ph, "M" | "X" | "i" | "C") {
-            return Err(err(&format!("unsupported phase \"{ph}\"")));
-        }
-        ev.get("pid").and_then(Value::as_u64).ok_or_else(|| err("missing integer \"pid\""))?;
-        ev.get("tid").and_then(Value::as_u64).ok_or_else(|| err("missing integer \"tid\""))?;
-        if ph != "M" && ph != "C" {
-            ev.get("ts").and_then(Value::as_u64).ok_or_else(|| err("missing integer \"ts\""))?;
-        }
-        if ph == "X" {
-            ev.get("dur").and_then(Value::as_u64).ok_or_else(|| err("missing integer \"dur\""))?;
-        }
+        validate_event(ev).map_err(|e| format!("traceEvents[{i}]: {e}"))?;
     }
     Ok(events.len())
+}
+
+fn validate_event(ev: &Value) -> Result<(), Box<dyn Error>> {
+    ev.str("name")?;
+    let ph = ev.str("ph")?;
+    if !matches!(ph, "M" | "X" | "i" | "C") {
+        return Err(format!("unsupported phase \"{ph}\"").into());
+    }
+    ev.int::<u64>("pid")?;
+    ev.int::<u64>("tid")?;
+    if ph != "M" && ph != "C" {
+        ev.int::<u64>("ts")?;
+    }
+    if ph == "X" {
+        ev.int::<u64>("dur")?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

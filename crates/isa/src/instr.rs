@@ -1,11 +1,10 @@
 //! Instruction definitions and their mapping onto pipeline units.
 
 use crate::reg::Reg;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Integer ALU operation, executed in the EXU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum AluOp {
     Add,
@@ -59,7 +58,7 @@ impl AluOp {
 }
 
 /// Branch condition evaluated in the EXU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum BranchCond {
     Eq,
@@ -89,7 +88,7 @@ impl BranchCond {
 ///
 /// Operands are general-purpose registers reinterpreted as IEEE-754 `f32`
 /// bit patterns, mirroring how the OpenSPARC FFU fronts the FPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FpuOp {
     Fadd,
@@ -118,7 +117,7 @@ impl FpuOp {
 }
 
 /// Software trap codes handled by the TLU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum TrapCode {
     /// Benign syscall-style trap; the simulator treats it as a no-op with
@@ -129,7 +128,7 @@ pub enum TrapCode {
 }
 
 /// The five OpenSPARC T1 pipeline units R2D3 protects (paper Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Unit {
     /// Instruction fetch unit.
     Ifu,
@@ -188,7 +187,7 @@ impl fmt::Display for Unit {
 /// Field meanings follow RISC convention: `rd` destination, `rs1`/`rs2`
 /// sources, `imm`/`offset` immediates (PC-relative offsets in words).
 #[allow(missing_docs)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {
     /// Register-register ALU operation (EXU).
     Alu { op: AluOp, rd: Reg, rs1: Reg, rs2: Reg },

@@ -20,11 +20,10 @@ pub use gemv::gemv;
 pub use trapmix::trap_mix;
 
 use crate::program::Program;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which of the paper's three workloads a [`Kernel`] implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// General matrix-matrix multiply.
     Gemm,

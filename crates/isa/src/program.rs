@@ -1,7 +1,6 @@
 //! Program images: text plus initial data memory.
 
 use crate::instr::Instruction;
-use serde::{Deserialize, Serialize};
 
 /// An executable image: a text segment of decoded instructions and an
 /// initial word-addressed data segment.
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Addresses are in *words*. Instruction addresses index `text`, data
 /// addresses index the data memory (which the interpreter and simulator
 /// grow to `data_words` on load).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     text: Vec<Instruction>,
     data: Vec<u32>,

@@ -1,6 +1,5 @@
 //! Architectural register names.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the 32 general-purpose registers.
@@ -16,7 +15,7 @@ use std::fmt;
 /// assert_eq!(Reg::from_index(5), Some(Reg::R5));
 /// assert_eq!(Reg::R5.to_string(), "r5");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 #[derive(Default)]
 pub enum Reg {

@@ -26,7 +26,9 @@
 //!   pipeline (constant folding, buf/inv cleanup, normalization,
 //!   chain→tree rebalancing),
 //! * a Yosys-JSON importer ([`yosys_json`]) that maps real synthesized
-//!   combinational cores onto this substrate.
+//!   combinational cores onto this substrate,
+//! * the workspace's one JSON reader ([`json`]), shared with the engine's
+//!   snapshot, wire and telemetry decoders.
 //!
 //! # Example
 //!
@@ -52,6 +54,7 @@ pub mod blif;
 pub mod builder;
 pub mod crossbar;
 pub mod ir;
+pub mod json;
 pub mod netlist;
 pub mod sequential;
 pub mod sim;

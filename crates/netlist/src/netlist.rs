@@ -1,11 +1,10 @@
 //! Core netlist representation and bit-parallel evaluation.
 
 use crate::NetlistError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a signal net within a [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub u32);
 
 impl NetId {
@@ -26,7 +25,7 @@ impl fmt::Display for NetId {
 ///
 /// `Mux` takes three inputs `(sel, a, b)` and produces `sel ? a : b`.
 /// `Const0`/`Const1` take no inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum GateKind {
     Buf,
@@ -61,7 +60,7 @@ impl GateKind {
 }
 
 /// A gate instance: a kind, input nets and one output net.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gate {
     /// Gate function.
     pub kind: GateKind,
@@ -98,7 +97,7 @@ impl Gate {
 ///
 /// Evaluation is 64-way bit-parallel: each `u64` carries 64 independent
 /// test patterns, one per bit lane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     num_nets: usize,
     num_inputs: usize,
@@ -298,7 +297,7 @@ impl Netlist {
 /// transparent. The mix controls how much core-boundary masking the
 /// composition exhibits, which is the knob behind the paper's 96 % → 84 %
 /// stage-to-core coverage drop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComposeOptions {
     /// Fraction of leftover outputs absorbed (rest are dropped).
     pub absorb_fraction: f64,

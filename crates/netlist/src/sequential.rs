@@ -40,10 +40,9 @@
 
 use crate::netlist::Netlist;
 use crate::NetlistError;
-use serde::{Deserialize, Serialize};
 
 /// A full-scan sequential circuit built over a combinational core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequentialNetlist {
     core: Netlist,
     real_inputs: usize,

@@ -17,7 +17,6 @@ use crate::netlist::{GateKind, NetId, Netlist};
 use r2d3_isa::Unit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-unit silicon area in mm² from the paper's Table III (45 nm SOI).
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub const UNIT_AREA_MM2: [f64; 5] = [0.056, 0.036, 0.067, 0.040, 0.014];
 
 /// Sizing knobs for stage-netlist generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSizing {
     /// Gate density used to convert Table III areas into gate budgets.
     /// The default (15 000 gates/mm²) keeps the full five-unit fault

@@ -1,8 +1,7 @@
 //! Importer for Yosys' JSON netlist format (`write_json`).
 //!
-//! Like the BLIF exporter in [`crate::blif`], the parser is hand-rolled
-//! (no serde-JSON dependency): a small recursive-descent JSON reader
-//! with line tracking feeds a cell mapper that understands the Yosys
+//! The document is read by the workspace's one JSON reader
+//! ([`crate::json`]) and fed to a cell mapper that understands the Yosys
 //! single-bit cell library (`$_AND_`, `$_NOT_`, `$_MUX_`, …) and the
 //! common word-level cells (`$and`, `$not`, `$mux`, `$reduce_*`, …).
 //! The result is a validated, topologically numbered [`Netlist`] ready
@@ -21,6 +20,7 @@
 //!   stage substrate.
 
 use crate::ir;
+use crate::json::{self, FieldError, SyntaxError, Value};
 use crate::netlist::{Gate, GateKind, NetId, Netlist};
 use std::collections::HashMap;
 use std::fmt;
@@ -47,6 +47,18 @@ impl fmt::Display for YosysJsonError {
 
 impl std::error::Error for YosysJsonError {}
 
+impl From<SyntaxError> for YosysJsonError {
+    fn from(e: SyntaxError) -> Self {
+        YosysJsonError { line: e.line, message: e.message }
+    }
+}
+
+impl From<FieldError> for YosysJsonError {
+    fn from(e: FieldError) -> Self {
+        structural(e.to_string())
+    }
+}
+
 /// A combinational core imported from Yosys JSON.
 #[derive(Debug, Clone)]
 pub struct ImportedCore {
@@ -59,237 +71,6 @@ pub struct ImportedCore {
     pub input_ports: Vec<(String, usize)>,
     /// Output ports in declaration order, as `(name, width)`.
     pub output_ports: Vec<(String, usize)>,
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (order-preserving objects, line-tracked errors).
-// ---------------------------------------------------------------------------
-
-enum Json {
-    Null,
-    /// Payload unused: the importer never consumes JSON booleans.
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting the reader accepts. Yosys netlists
-/// nest 7 levels deep (the vendored core's cell connections); the cap
-/// keeps a hostile `--core` file from overflowing the stack.
-const MAX_DEPTH: usize = 64;
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser { bytes: text.as_bytes(), pos: 0, line: 1, depth: 0 }
-    }
-
-    fn error(&self, message: impl Into<String>) -> YosysJsonError {
-        YosysJsonError { line: self.line, message: message.into() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), YosysJsonError> {
-        self.skip_ws();
-        match self.bump() {
-            Some(b) if b == byte => Ok(()),
-            Some(b) => {
-                Err(self.error(format!("expected `{}`, found `{}`", byte as char, b as char)))
-            }
-            None => Err(self.error(format!("expected `{}`, found end of input", byte as char))),
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, YosysJsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH}")));
-                }
-                self.depth += 1;
-                let value = if open == b'{' { self.parse_object() } else { self.parse_array() };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Json::Bool),
-            Some(b'f') => self.parse_literal("false", Json::Bool),
-            Some(b'n') => self.parse_literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(b) => Err(self.error(format!("unexpected character `{}`", b as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn parse_literal(&mut self, word: &str, value: Json) -> Result<Json, YosysJsonError> {
-        for expected in word.bytes() {
-            match self.bump() {
-                Some(b) if b == expected => {}
-                _ => return Err(self.error(format!("invalid literal (expected `{word}`)"))),
-            }
-        }
-        Ok(value)
-    }
-
-    fn parse_number(&mut self) -> Result<Json, YosysJsonError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error(format!("invalid number `{text}`")))
-    }
-
-    fn parse_string(&mut self) -> Result<String, YosysJsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let digit = self
-                                .bump()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| self.error("invalid \\u escape"))?;
-                            code = code * 16 + digit;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(self.error("invalid escape sequence")),
-                },
-                Some(byte) => {
-                    // Re-assemble UTF-8 sequences byte by byte.
-                    if byte < 0x80 {
-                        out.push(byte as char);
-                    } else {
-                        let mut buf = vec![byte];
-                        while self.peek().is_some_and(|b| b & 0xC0 == 0x80) {
-                            buf.push(self.bump().expect("peeked"));
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&buf)
-                                .map_err(|_| self.error("invalid UTF-8 in string"))?,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, YosysJsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, YosysJsonError> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(Json::Obj(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(entries)),
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -308,10 +89,20 @@ fn structural(message: impl Into<String>) -> YosysJsonError {
     YosysJsonError { line: 0, message: message.into() }
 }
 
-fn parse_bit(value: &Json, cell: &str) -> Result<BitRef, YosysJsonError> {
+/// The members of `v`'s object `key`, none when the key is absent.
+fn members<'a>(v: &'a Value, key: &str) -> Result<&'a [(String, Value)], FieldError> {
+    match v.opt(key) {
+        Some(_) => v.obj(key),
+        None => Ok(&[]),
+    }
+}
+
+fn parse_bit(value: &Value, cell: &str) -> Result<BitRef, YosysJsonError> {
     match value {
-        Json::Num(n) => Ok(BitRef::Wire(*n as u64)),
-        Json::Str(s) => match s.as_str() {
+        Value::Num(n) => value.as_int().map(BitRef::Wire).ok_or_else(|| {
+            structural(format!("cell `{cell}`: connection bit {n} is not an exact integer"))
+        }),
+        Value::Str(s) => match s.as_str() {
             "0" => Ok(BitRef::Const(false)),
             "1" => Ok(BitRef::Const(true)),
             // Don't-care: any constant is a legal implementation.
@@ -582,11 +373,8 @@ fn read_bits(cell: &CellConn) -> Vec<u64> {
 /// multiply-driven bits, combinational cycles, and any residual
 /// structural violation found by the IR validator.
 pub fn parse_yosys_json(text: &str, top: Option<&str>) -> Result<ImportedCore, YosysJsonError> {
-    let root = JsonParser::new(text).parse_value()?;
-    let modules = root
-        .get("modules")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| structural("missing `modules` object"))?;
+    let root = json::parse(text)?;
+    let modules = root.obj("modules")?;
     let (module_name, module) = match top {
         Some(name) => modules
             .iter()
@@ -606,20 +394,14 @@ pub fn parse_yosys_json(text: &str, top: Option<&str>) -> Result<ImportedCore, Y
     };
 
     // Ports, in declaration order.
-    let ports = module.get("ports").and_then(Json::as_obj).unwrap_or(&[]);
     let mut input_ports: Vec<(String, usize)> = Vec::new();
     let mut output_ports: Vec<(String, usize)> = Vec::new();
     let mut input_bits: Vec<u64> = Vec::new();
     let mut output_bits: Vec<Vec<BitRef>> = Vec::new();
-    for (port_name, port) in ports {
-        let direction = port
-            .get("direction")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structural(format!("port `{port_name}`: missing direction")))?;
-        let bits = port
-            .get("bits")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| structural(format!("port `{port_name}`: missing bits")))?;
+    for (port_name, port) in members(module, "ports")? {
+        let in_port = |e: FieldError| structural(format!("port `{port_name}`: {e}"));
+        let direction = port.str("direction").map_err(in_port)?;
+        let bits = port.arr("bits").map_err(in_port)?;
         let resolved: Vec<BitRef> =
             bits.iter().map(|b| parse_bit(b, port_name)).collect::<Result<_, _>>()?;
         match direction {
@@ -650,20 +432,17 @@ pub fn parse_yosys_json(text: &str, top: Option<&str>) -> Result<ImportedCore, Y
     }
 
     // Cells, resolved but not yet ordered.
-    let cells_json = module.get("cells").and_then(Json::as_obj).unwrap_or(&[]);
+    let cells_json = members(module, "cells")?;
     let mut cells: Vec<CellConn> = Vec::with_capacity(cells_json.len());
     for (cell_name, cell) in cells_json {
-        let kind = cell
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structural(format!("cell `{cell_name}`: missing type")))?
-            .to_string();
-        let connections = cell.get("connections").and_then(Json::as_obj).unwrap_or(&[]);
+        let in_cell = |e: FieldError| structural(format!("cell `{cell_name}`: {e}"));
+        let kind = cell.str("type").map_err(in_cell)?.to_string();
+        let connections = members(cell, "connections").map_err(in_cell)?;
         let mut ports: Vec<(String, Vec<BitRef>)> = Vec::with_capacity(connections.len());
         for (port_name, bits) in connections {
-            let bits = bits.as_arr().ok_or_else(|| {
-                structural(format!("cell `{cell_name}`: port `{port_name}` bits must be an array"))
-            })?;
+            let Value::Arr(bits) = bits else {
+                return Err(in_cell(FieldError::invalid(port_name, "must be an array")));
+            };
             let resolved: Vec<BitRef> =
                 bits.iter().map(|b| parse_bit(b, cell_name)).collect::<Result<_, _>>()?;
             ports.push((port_name.clone(), resolved));
@@ -759,6 +538,9 @@ pub fn parse_yosys_json(text: &str, top: Option<&str>) -> Result<ImportedCore, Y
         .map_err(|e| structural(format!("imported netlist failed validation: {e}")))?;
     Ok(ImportedCore { name: module_name.clone(), netlist, input_ports, output_ports })
 }
+
+#[cfg(test)]
+use crate::json::MAX_DEPTH;
 
 #[cfg(test)]
 mod tests {
@@ -978,6 +760,28 @@ mod tests {
     fn json_syntax_errors_carry_line_numbers() {
         let err = parse_yosys_json("{\n  \"modules\": {\n  oops\n", None).unwrap_err();
         assert_eq!(err.line, 3);
+    }
+
+    #[test]
+    fn trailing_text_is_a_syntax_error() {
+        let err = parse_yosys_json(&format!("{SMALL}\n}}"), None).unwrap_err();
+        assert_eq!(err.line, SMALL.lines().count() + 1, "{err}");
+    }
+
+    #[test]
+    fn fractional_or_negative_bits_name_the_cell() {
+        for bit in ["2.7", "-1"] {
+            let text = format!(
+                r#"{{ "modules": {{ "m": {{
+                  "ports": {{ "a": {{ "direction": "input", "bits": [2] }},
+                             "y": {{ "direction": "output", "bits": [3] }} }},
+                  "cells": {{ "g": {{ "type": "$_NOT_", "connections": {{ "A": [{bit}], "Y": [3] }} }} }}
+                }} }} }}"#
+            );
+            let err = parse_yosys_json(&text, None).unwrap_err();
+            assert_eq!(err.line, 0, "{err}");
+            assert!(err.message.contains("cell `g`") && err.message.contains(bit), "{err}");
+        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use crate::miv::MivModel;
 use crate::table::{totals, units_power_mw, TABLE_III};
-use serde::{Deserialize, Serialize};
 
 /// Which design is being summarized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignVariant {
     /// Plain 3D stack with hard-wired pipelines (the paper's NoRecon).
     NoRecon,
@@ -24,7 +23,7 @@ impl DesignVariant {
 }
 
 /// Derived physical summary of one design variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignSummary {
     /// Variant summarized.
     pub variant: DesignVariant,
@@ -43,7 +42,7 @@ pub struct DesignSummary {
 }
 
 /// The calibrated physical model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalModel {
     /// Number of tiers in the stack.
     pub layers: usize,

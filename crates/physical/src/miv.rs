@@ -9,10 +9,8 @@
 //! full 8-tier stack plus the crossbar mux stays within a fraction of the
 //! 1 ns cycle.
 
-use serde::{Deserialize, Serialize};
-
 /// Delay model for vertical crossings.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MivModel {
     /// Per-MIV (one tier hop) delay in picoseconds.
     pub per_tier_ps: f64,

@@ -1,10 +1,9 @@
 //! Table III of the paper: per-unit silicon measurements.
 
 use r2d3_isa::Unit;
-use serde::{Deserialize, Serialize};
 
 /// Physical measurements of one pipeline unit (45 nm SOI, paper Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitPhysical {
     /// Which unit.
     pub unit: Unit,
@@ -71,7 +70,7 @@ pub const TABLE_III: [UnitPhysical; 5] = [
 ];
 
 /// Paper-reported whole-core figures (the Table III "Total" row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreTotals {
     /// Whole-core area (mm²) including uncore.
     pub area_mm2: f64,

@@ -1,9 +1,7 @@
 //! Set-associative caches and the Table II memory hierarchy.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and timing of one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Capacity in bytes.
     pub size_bytes: usize,
@@ -46,7 +44,7 @@ impl CacheConfig {
 /// Addresses are in words (matching the ISA); tags are computed over the
 /// line-aligned word address. The cache tracks only presence (this is a
 /// timing model; data lives in the pipeline's memory image).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     config: CacheConfig,
     /// log2 of the words per line: `word_addr >> line_shift` is the line.
@@ -147,7 +145,7 @@ impl Cache {
 
 /// The per-pipeline view of the memory hierarchy: private L1I/L1D, a
 /// handle to the shared L2, and the DRAM latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryHierarchy {
     /// L1 D-cache config.
     pub l1d: CacheConfig,

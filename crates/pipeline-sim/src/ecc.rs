@@ -17,15 +17,13 @@
 //! assert_eq!(decode(upset), Decoded::Corrected(0xDEAD_BEEF));
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Number of Hamming check bits for 32 data bits.
 const CHECK_BITS: u32 = 6;
 /// Total codeword width: 32 data + 6 check + 1 overall parity.
 pub const CODEWORD_BITS: u32 = 32 + CHECK_BITS + 1;
 
 /// Decode outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decoded {
     /// No error; the stored word.
     Clean(u32),

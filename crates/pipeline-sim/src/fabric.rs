@@ -6,7 +6,6 @@
 use crate::stage::StageId;
 use crate::SimError;
 use r2d3_isa::Unit;
-use serde::{Deserialize, Serialize};
 
 /// A fault armed on one vertical TSV link bundle — the bundle that
 /// carries the stage at `(layer, unit)`'s outputs into the crossbar.
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// bundle) sees the corrupted value. The engine's replay network bypasses
 /// the TSVs, so replays of a link-faulted stage come back clean — the
 /// observable signature that separates a path fault from a stage fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkFault {
     /// Bits under `mask` stuck at `pattern`'s values (open/short TSV).
     Stuck {
@@ -60,7 +59,7 @@ pub enum LinkFault {
 
 /// A link fault plus its per-link transfer counter (crosstalk beats and
 /// burst depletion are functions of delivered-transfer count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ArmedLink {
     fault: LinkFault,
     ticks: u64,
@@ -81,7 +80,7 @@ fn misroute_skew(expected: usize, actual: usize, unit: Unit) -> u32 {
 /// The identity configuration (pipeline `p` uses all of layer `p`'s
 /// stages) models a hard-wired NoRecon stack; the R2D3 controller
 /// reconfigures the map to route around faults and rotate leftovers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fabric {
     layers: usize,
     /// `assignment[pipe][unit] = Some(layer)`.

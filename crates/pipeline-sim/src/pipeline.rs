@@ -8,7 +8,7 @@ use crate::SimError;
 use r2d3_isa::{Instruction, IsaError, Program, Reg, Unit};
 
 /// Timing constants for the in-order core (single-issue, Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// Redirect penalty of a taken branch/jump (cycles).
     pub branch_penalty: u64,
@@ -63,7 +63,7 @@ impl StageEffects {
 
 /// A committed architectural snapshot of one pipeline (program counter,
 /// register file, data memory, retirement count).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineCheckpoint {
     pc: u32,
     regs: [u32; 32],

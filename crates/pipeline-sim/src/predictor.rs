@@ -7,10 +7,8 @@
 //! Correctly predicted control flow pays no redirect penalty; mispredicts
 //! pay [`crate::pipeline::TimingParams::branch_penalty`].
 
-use serde::{Deserialize, Serialize};
-
 /// 2-bit saturating counter states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Counter {
     StrongNot,
     WeakNot,
@@ -36,7 +34,7 @@ impl Counter {
 }
 
 /// A bimodal (2-bit counter) predictor with a direct-mapped BTB.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchPredictor {
     counters: Vec<Counter>,
     /// `btb[idx] = (tag, target)`.

@@ -1,11 +1,10 @@
 //! Physical pipeline stages: identity, health and fault effects.
 
 use r2d3_isa::Unit;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one physical stage in the 3D stack: a unit on a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StageId {
     /// Vertical tier (0 = closest to the heat sink).
     pub layer: usize,
@@ -54,7 +53,7 @@ impl fmt::Display for StageId {
 /// ATPG campaign uses: whether a given operation *manifests* the fault
 /// depends on whether the correct output already has that bit at the
 /// stuck value — so detection latency is data-dependent, as in silicon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultEffect {
     /// Output bit position (0–31).
     pub bit: u8,
@@ -82,7 +81,7 @@ impl FaultEffect {
 }
 
 /// Health state of a physical stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StageHealth {
     /// Fully functional.
     #[default]

@@ -2,14 +2,13 @@
 
 use crate::stage::StageId;
 use r2d3_isa::Unit;
-use serde::{Deserialize, Serialize};
 
 /// Busy-cycle counters for every physical stage in the stack.
 ///
 /// Activity factors (`busy / elapsed`) are the utilization signal that
 /// drives the power map, the thermal solve and the NBTI duty factor in
 /// the lifetime simulation, and the `α_i` inputs of the paper's Eq. 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivityStats {
     layers: usize,
     busy: Vec<u64>,

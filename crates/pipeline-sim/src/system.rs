@@ -8,10 +8,9 @@ use crate::stats::ActivityStats;
 use crate::trace::TraceRing;
 use crate::SimError;
 use r2d3_isa::{Program, Unit};
-use serde::{Deserialize, Serialize};
 
 /// System-level configuration (paper Table II plus fabric parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Vertical tiers in the stack (the paper's system has 8).
     pub layers: usize,

@@ -9,12 +9,10 @@
 //! be reconstructed from the golden trace — exactly the information the
 //! vertical buses give the paper's detection circuitry.
 
-use serde::{Deserialize, Serialize};
-
 /// One stage operation: input signature, golden output and the output the
 /// stage actually produced (differs from golden when a permanent fault
 /// manifested or a transient flipped it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageRecord {
     /// Pipeline-local cycle at which the operation retired.
     pub cycle: u64,
@@ -27,7 +25,7 @@ pub struct StageRecord {
 }
 
 /// Fixed-capacity ring buffer of [`StageRecord`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceRing {
     capacity: usize,
     records: Vec<StageRecord>,

@@ -1,10 +1,9 @@
 //! Floorplans: per-layer block placements for the 3D stack.
 
 use r2d3_isa::Unit;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle in chip coordinates (meters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Left edge.
     pub x0: f64,
@@ -49,7 +48,7 @@ impl Rect {
 /// Layer 0 is the tier closest to the heat sink (the paper inserts the
 /// reconfiguration controller at that layer); higher layers are farther
 /// from the sink and run hotter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId {
     /// Vertical tier index (0 = closest to heat sink).
     pub layer: usize,
@@ -60,7 +59,7 @@ pub struct BlockId {
 /// A complete 3D floorplan: the same per-tier unit placement replicated on
 /// every layer (the paper stacks *corresponding* pipeline stages
 /// vertically so the crossbars span minimal distance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     layers: usize,
     chip_width: f64,

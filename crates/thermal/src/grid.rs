@@ -1,7 +1,6 @@
 //! Thermal grid construction (geometry, materials, conductances).
 
 use crate::floorplan::{Floorplan, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Per-unit silicon area in mm² (paper Table III), used by the floorplan.
 pub const UNIT_AREA_MM2: [f64; 5] = [0.056, 0.036, 0.067, 0.040, 0.014];
@@ -13,7 +12,7 @@ pub const UNIT_AREA_MM2: [f64; 5] = [0.056, 0.036, 0.067, 0.040, 0.014];
 /// hottest layer with a 45 °C ambient): monolithic tiers are thin, the
 /// inter-layer dielectric conducts poorly, and the heat path to the sink
 /// is long — the paper's motivating observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaterialParams {
     /// Silicon thermal conductivity (W/m·K) at operating temperature.
     pub k_silicon: f64,
@@ -46,7 +45,7 @@ impl Default for MaterialParams {
 }
 
 /// Grid resolution and materials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridConfig {
     /// Cells along the die width.
     pub nx: usize,

@@ -4,11 +4,10 @@ use crate::floorplan::BlockId;
 use crate::grid::ThermalGrid;
 use crate::ThermalError;
 use r2d3_isa::Unit;
-use serde::{Deserialize, Serialize};
 
 /// A solved temperature field (°C per grid cell) with the grid metadata
 /// needed to extract block and layer statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemperatureField {
     nx: usize,
     ny: usize,

@@ -2,11 +2,10 @@
 
 use crate::floorplan::{BlockId, Floorplan};
 use r2d3_isa::Unit;
-use serde::{Deserialize, Serialize};
 
 /// Per-block power assignment (watts), layer-major in floorplan block
 /// order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerMap {
     layers: usize,
     unit_order: Vec<Unit>,

@@ -99,10 +99,10 @@ fn job_spec() -> impl Strategy<Value = JobSpec> {
 }
 
 /// Counts (units, progress steps) travel as bare JSON integers, which
-/// the byte-oriented parser reads through an `f64`: they are exact up
-/// to 2^53. Full-range values (seeds, job ids) travel as hex strings
-/// instead. Counts are daemon-generated step totals, so the bounded
-/// domain is the protocol's actual domain.
+/// decoders accept only when exact: below 2^53, the range every
+/// IEEE-double JSON reader agrees on. Full-range values (seeds, job ids)
+/// travel as hex strings instead. Counts are daemon-generated step
+/// totals, so the bounded domain is the protocol's actual domain.
 fn count() -> impl Strategy<Value = u64> {
     0u64..(1 << 53)
 }

@@ -218,6 +218,9 @@ fn malformed_lines_get_typed_errors_and_connection_survives() {
         ("{\"proto_version\":1,\"op\":\"cancel\",\"job\":\"zebra\"}", "invalid"),
         ("[1,2,3]", "missing"),
         ("{\"proto_version\":1,\"op\":\"submit\",\"client\":\"x\",\"spec\":{\"proto_version\":1,\"kind\":\"tournament\",\"priority\":0}}", "unknown_kind"),
+        // Admission would allocate per unit before any work runs: a
+        // billion scenarios (and shards) must be refused, not admitted.
+        ("{\"proto_version\":1,\"op\":\"submit\",\"client\":\"x\",\"spec\":{\"proto_version\":1,\"kind\":\"campaign\",\"priority\":0,\"seed\":\"7\",\"scenarios\":1000000000,\"substrates\":[\"behavioral\"],\"kinds\":[\"permanent\"],\"core\":null,\"shards\":1000000000}}", "invalid"),
     ];
     for (line, code) in probes {
         writeln!(writer, "{line}").unwrap();
