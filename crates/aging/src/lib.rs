@@ -46,7 +46,7 @@ pub use avs::{avs_trajectory, AvsParams, AvsPoint, AvsPolicy};
 pub use delay::frequency_factor;
 pub use em::EmModel;
 pub use jep122::{CompositeModel, CyclingModel, HciModel, OperatingPoint, TddbModel};
-pub use mttf::{mttf_monte_carlo, mttf_of_failure_times, MttfConfig};
+pub use mttf::{mttf_monte_carlo, mttf_of_draws, mttf_of_failure_times, ExpDraws, MttfConfig};
 pub use nbti::{NbtiModel, NbtiParams, NbtiState};
 
 /// Boltzmann constant in eV/K.

@@ -214,6 +214,11 @@ impl JobSpec {
 /// Replicas the lifetime CLI path (and therefore lifetime jobs) runs.
 const LIFETIME_REPLICAS: usize = 6;
 
+/// Most months one lifetime job may simulate: 1,000 years. A run's time,
+/// and the series every checkpoint rewrites, grow with its months, so
+/// this bounds what one submit line can claim.
+const MAX_MONTHS: usize = 12_000;
+
 /// Most scenarios one campaign job may sweep: 256× the default sweep.
 /// Admission allocates per scenario (each can be a shard unit) before
 /// any work runs, so this bounds what one submit line can claim.
@@ -284,8 +289,8 @@ impl CampaignSpec {
 
 impl LifetimeSpec {
     fn validate(&self) -> Result<(), ApiError> {
-        if self.months == 0 {
-            return Err(ApiError::invalid("months", "must be at least 1"));
+        if !(1..=MAX_MONTHS).contains(&self.months) {
+            return Err(ApiError::invalid("months", format!("must be in 1..={MAX_MONTHS}")));
         }
         Ok(())
     }
@@ -656,6 +661,11 @@ mod tests {
         ));
         assert!(matches!(
             JobSpec::lifetime().months(0).build(),
+            Err(ApiError::Invalid { field, .. }) if field == "months"
+        ));
+        assert!(JobSpec::lifetime().months(12_000).build().is_ok());
+        assert!(matches!(
+            JobSpec::lifetime().months(12_001).build(),
             Err(ApiError::Invalid { field, .. }) if field == "months"
         ));
         assert!(matches!(

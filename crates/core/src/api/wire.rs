@@ -892,6 +892,10 @@ mod tests {
         assert!(
             matches!(decode_spec(bad), Err(ApiError::Invalid { field, .. }) if field == "shards")
         );
+        let long = r#"{"proto_version":1,"kind":"lifetime","priority":0,"policy":"pro","months":1000000000,"workload":"gemm","seed":"1"}"#;
+        assert!(
+            matches!(decode_spec(long), Err(ApiError::Invalid { field, .. }) if field == "months")
+        );
     }
 
     #[test]

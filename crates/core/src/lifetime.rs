@@ -22,7 +22,7 @@ use crate::repair::{
 use crate::snapshot::{self, SnapshotError};
 use crate::substrate::ReliabilitySubstrate;
 use crate::EngineError;
-use r2d3_aging::mttf::{mttf_of_failure_times, MttfConfig};
+use r2d3_aging::mttf::{mttf_of_draws, ExpDraws, MttfConfig};
 use r2d3_aging::nbti::{NbtiModel, NbtiParams, NbtiState};
 use r2d3_aging::{kelvin, BOLTZMANN_EV, SECONDS_PER_MONTH};
 use r2d3_isa::Unit;
@@ -552,7 +552,8 @@ impl LifetimeSim {
     /// Runs all replicas and returns the averaged outcome.
     ///
     /// Replicas run in parallel over [`LifetimeConfig::threads`] workers.
-    /// Each replica draws from its own deterministic seed and the
+    /// Each replica draws its faults from its own deterministic seed, the
+    /// forward-MTTF draws depend only on the seed and the month, and the
     /// per-replica series are accumulated in replica order, so the
     /// averaged outcome is bit-identical for any thread count.
     ///
@@ -560,42 +561,41 @@ impl LifetimeSim {
     ///
     /// Returns [`EngineError::Thermal`] if a thermal solve fails.
     pub fn run(&self) -> Result<LifetimeOutcome, EngineError> {
-        let cfg = &self.config;
-        let floorplan = Floorplan::opensparc_3d(cfg.layers);
-        let grid = ThermalGrid::new(&floorplan, &cfg.grid);
-
-        type ReplicaResult = Result<(LifetimeSeries, Vec<f64>), EngineError>;
         // Oversubscribing a CPU-bound replica loop only adds context
         // switches, so the worker count is clamped to the host's
         // parallelism (results are thread-count-invariant either way).
         let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let threads = cfg.threads.max(1).min(cfg.replicas.max(1)).min(host);
-        let mut results: Vec<Option<ReplicaResult>> = (0..cfg.replicas).map(|_| None).collect();
-        if threads <= 1 {
-            for (replica, slot) in results.iter_mut().enumerate() {
-                *slot = Some(self.run_replica(replica, &grid));
-            }
+        self.run_on(self.config.threads.min(host))
+    }
+
+    /// [`run`](LifetimeSim::run) on `workers` threads, each stepping one
+    /// contiguous chunk of replicas.
+    fn run_on(&self, workers: usize) -> Result<LifetimeOutcome, EngineError> {
+        let cfg = &self.config;
+        let floorplan = Floorplan::opensparc_3d(cfg.layers);
+        let grid = ThermalGrid::new(&floorplan, &cfg.grid);
+
+        let workers = workers.max(1).min(cfg.replicas.max(1));
+        let mut replicas: Vec<Result<ReplicaState, EngineError>> =
+            (0..cfg.replicas).map(|replica| Ok(ReplicaState::fresh(cfg, replica))).collect();
+        if workers <= 1 {
+            self.step_chunk(&mut replicas, &grid);
         } else {
-            let chunk_len = cfg.replicas.div_ceil(threads);
             std::thread::scope(|scope| {
-                for (ci, chunk) in results.chunks_mut(chunk_len).enumerate() {
+                for chunk in replicas.chunks_mut(cfg.replicas.div_ceil(workers)) {
                     let grid = &grid;
-                    scope.spawn(move || {
-                        for (j, slot) in chunk.iter_mut().enumerate() {
-                            *slot = Some(self.run_replica(ci * chunk_len + j, grid));
-                        }
-                    });
+                    scope.spawn(move || self.step_chunk(chunk, grid));
                 }
             });
         }
 
         let mut acc = LifetimeSeries::default();
         let mut map = Vec::new();
-        for (replica, result) in results.into_iter().enumerate() {
-            let (series, hot_map) = result.expect("replica not run")?;
-            accumulate(&mut acc, &series, cfg.replicas as f64);
-            if replica == 0 {
-                map = hot_map;
+        for result in replicas {
+            let rs = result?;
+            accumulate(&mut acc, &rs.series, cfg.replicas as f64);
+            if rs.replica == 0 {
+                map = rs.hot_map_month0;
             }
         }
 
@@ -608,17 +608,22 @@ impl LifetimeSim {
         })
     }
 
-    /// One full 8-year trajectory.
-    fn run_replica(
-        &self,
-        replica: usize,
-        grid: &ThermalGrid,
-    ) -> Result<(LifetimeSeries, Vec<f64>), EngineError> {
-        let mut rs = ReplicaState::fresh(&self.config, replica);
-        while rs.month < self.config.months {
-            self.step_month(&mut rs, grid)?;
+    /// Steps every replica of `chunk` through all months, month by month.
+    /// The replicas of a month read one stream of forward-MTTF draws, so
+    /// each draw and its logarithm are computed once per chunk, not once
+    /// per replica. A replica whose step fails keeps the error and steps
+    /// no further.
+    fn step_chunk(&self, chunk: &mut [Result<ReplicaState, EngineError>], grid: &ThermalGrid) {
+        for month in 0..self.config.months {
+            let mut draws = ExpDraws::new(self.mttf_config(month).seed);
+            for slot in chunk.iter_mut() {
+                if let Ok(rs) = slot {
+                    if let Err(e) = self.step_month(rs, grid, &mut draws) {
+                        *slot = Err(e);
+                    }
+                }
+            }
         }
-        Ok((rs.series, rs.hot_map_month0))
     }
 
     /// Runs the sweep serially and durably: after every simulated month
@@ -687,7 +692,8 @@ impl LifetimeSim {
 
         loop {
             while live.month < cfg.months {
-                self.step_month(&mut live, &grid)?;
+                let mut draws = ExpDraws::new(self.mttf_config(live.month).seed);
+                self.step_month(&mut live, &grid, &mut draws)?;
                 let portable = LifetimeRunState::capture(&cursor, &live, digest);
                 if observe(&portable)?.is_break() {
                     return Ok(None);
@@ -713,13 +719,19 @@ impl LifetimeSim {
         }))
     }
 
-    /// Advances one replica by one month. The whole monthly co-sim loop
-    /// lives here so the parallel sweep ([`run`](LifetimeSim::run)) and
-    /// the durable resumable runner ([`run_durable`](LifetimeSim::run_durable))
+    /// Advances one replica by one month, reading forward-MTTF values from
+    /// `draws`, the month's stream. The whole monthly co-sim loop lives
+    /// here so the parallel sweep ([`run`](LifetimeSim::run)) and the
+    /// durable resumable runner ([`run_durable`](LifetimeSim::run_durable))
     /// execute the exact same code, which is what makes a resumed run
     /// byte-identical to an uninterrupted one.
     #[allow(clippy::too_many_lines)]
-    fn step_month(&self, rs: &mut ReplicaState, grid: &ThermalGrid) -> Result<(), EngineError> {
+    fn step_month(
+        &self,
+        rs: &mut ReplicaState,
+        grid: &ThermalGrid,
+        draws: &mut ExpDraws,
+    ) -> Result<(), EngineError> {
         let cfg = &self.config;
         let nstages = cfg.layers * Unit::COUNT;
         let nbti = NbtiModel::new(cfg.nbti);
@@ -776,7 +788,7 @@ impl LifetimeSim {
             })
             .collect();
 
-        let mttf = self.forward_mttf(&rs.alive, &rates, formable, wanted, month as u64);
+        let mttf = self.forward_mttf(&rs.alive, &rates, formable, wanted, month, draws);
         let norm_ipc = active as f64 / wanted as f64 * freq_factor;
         let hottest =
             (0..cfg.layers).map(|l| layer_mean(&temps, l)).fold(f64::NEG_INFINITY, f64::max);
@@ -976,7 +988,8 @@ impl LifetimeSim {
         rate
     }
 
-    /// Forward MTTF (months) from the current state via Monte Carlo.
+    /// Forward MTTF (months) from the current state via Monte Carlo,
+    /// reading `draws`, the stream of `month`'s [`mttf_config`](Self::mttf_config).
     ///
     /// See [`MttfCriterion`] for the failure definition; `formable` is the
     /// policy's formable count over `alive`. The system fails when that
@@ -989,7 +1002,8 @@ impl LifetimeSim {
         rates: &[f64],
         formable: usize,
         wanted: usize,
-        salt: u64,
+        month: usize,
+        draws: &mut ExpDraws,
     ) -> f64 {
         let cfg = &self.config;
         let level = match cfg.mttf_criterion {
@@ -1003,12 +1017,21 @@ impl LifetimeSim {
             PolicyKind::NoRecon => core_level_failure_time,
             _ => stage_level_failure_time,
         };
-        let mc = MttfConfig {
+        mttf_of_draws(rates, &self.mttf_config(month), draws, |times| {
+            failure_time(cfg.layers, alive, times, level)
+        })
+    }
+
+    /// The forward-MTTF Monte Carlo of `month`. Its seed depends only on
+    /// the run's seed and the month, so its draws are common to every
+    /// replica of the run.
+    fn mttf_config(&self, month: usize) -> MttfConfig {
+        let cfg = &self.config;
+        MttfConfig {
             trials: cfg.mttf_trials,
-            seed: cfg.seed ^ salt.wrapping_mul(0x517c_c1b7),
+            seed: cfg.seed ^ (month as u64).wrapping_mul(0x517c_c1b7),
             survivor_horizon: 1e9,
-        };
-        mttf_of_failure_times(rates, &mc, |times| failure_time(cfg.layers, alive, times, level))
+        }
     }
 
     fn frequency_factor(&self) -> f64 {
@@ -1112,20 +1135,24 @@ mod tests {
 
     #[test]
     fn thread_count_is_bit_identical() {
-        // Same config at 1 and 4 workers must produce the exact same
-        // averaged series: deterministic per-replica seeds and
-        // replica-order accumulation.
-        let mut serial = quick_config(PolicyKind::Static);
-        serial.replicas = 6;
-        serial.threads = 1;
+        // Every worker count must produce the exact same averaged series:
+        // deterministic per-replica seeds, forward-MTTF draws that depend
+        // only on the month, and replica-order accumulation. Seven
+        // replicas on 1, 2, 3, 4 and 7 workers run in chunks of 7, 4, 3,
+        // 2 and 1, and all but the first and last leave a short final
+        // chunk. `run_on` does not clamp to the host's cores, so every
+        // chunk size runs on any host.
+        let mut cfg = quick_config(PolicyKind::Static);
+        cfg.replicas = 7;
         // Enough fault pressure that replica trajectories diverge.
-        serial.reliability.base_rate_per_month = 0.02;
-        let mut par = serial.clone();
-        par.threads = 4;
-        let a = LifetimeSim::new(serial).run().unwrap();
-        let b = LifetimeSim::new(par).run().unwrap();
-        assert_eq!(a.series, b.series, "averaged series must be bit-identical");
-        assert_eq!(a.initial_hot_layer_map, b.initial_hot_layer_map);
+        cfg.reliability.base_rate_per_month = 0.02;
+        let sim = LifetimeSim::new(cfg);
+        let serial = sim.run_on(1).unwrap();
+        for workers in [2, 3, 4, 7] {
+            let par = sim.run_on(workers).unwrap();
+            assert_eq!(serial.series, par.series, "{workers} workers");
+            assert_eq!(serial.initial_hot_layer_map, par.initial_hot_layer_map);
+        }
     }
 
     #[test]

@@ -218,6 +218,7 @@ pub(crate) fn scan_jobs(vfs: &dyn Vfs, state_dir: &Path) -> Result<Vec<JobRec>, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::JobKind;
     use crate::campaign::SubstrateKind;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -257,6 +258,26 @@ mod tests {
         assert_eq!(back.unit_done, rec.unit_done);
         assert_eq!(back.unit_progress, rec.unit_progress);
         assert_eq!(back.status().progress_done, 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_over_the_month_cap_is_refused() {
+        // Written without the builder's check, as a manifest from a build
+        // without the cap would be.
+        let dir = tmp_dir("months");
+        let JobKind::Lifetime(mut lifetime) = JobSpec::lifetime().build().unwrap().kind else {
+            unreachable!("built as lifetime")
+        };
+        lifetime.months = 1_000_000_000;
+        let spec = JobSpec { priority: 0, kind: JobKind::Lifetime(lifetime) };
+        let rec = JobRec::new(3, 1, "c".into(), spec);
+        std::fs::create_dir_all(JobRec::dir(&dir, rec.id)).unwrap();
+        rec.save(&IoEnv::default(), &dir).unwrap();
+        match JobRec::load(IoEnv::default().vfs.as_ref(), &JobRec::manifest_path(&dir, rec.id)) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("months"), "{msg}"),
+            other => panic!("expected a malformed spec, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
