@@ -53,7 +53,7 @@ pub fn all_faults(netlist: &Netlist) -> Vec<Fault> {
 /// full set up to class weighting, which is how commercial tools report
 /// coverage. (Campaigns over *uncollapsed* lists collapse internally
 /// anyway; this set is for callers who want the smaller universe as
-/// their unit of account, e.g. dictionaries and compaction.)
+/// their unit of account.)
 #[must_use]
 pub fn collapsed_faults(netlist: &Netlist) -> Vec<Fault> {
     let classes = crate::collapse::FaultClasses::build(netlist);

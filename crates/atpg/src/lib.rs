@@ -41,8 +41,6 @@
 
 pub mod campaign;
 pub mod collapse;
-pub mod compact;
-pub mod dictionary;
 pub mod fault;
 pub mod flow;
 pub mod observe;
@@ -54,8 +52,6 @@ pub use campaign::{
     FaultStatus,
 };
 pub use collapse::{collapse_active, FaultClasses};
-pub use compact::{compact, Compacted};
-pub use dictionary::FaultDictionary;
 pub use fault::{all_faults, collapsed_faults, Fault};
 pub use flow::{run_full_flow, FlowConfig};
 pub use observe::{

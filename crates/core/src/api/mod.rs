@@ -3,7 +3,7 @@
 //!
 //! Three layers, each in its own submodule:
 //!
-//! * [`spec`] — the library types: [`JobSpec`] (a validated, executable
+//! * `spec` — the library types: [`JobSpec`] (a validated, executable
 //!   description of a campaign, lifetime or inject run), [`JobId`], and
 //!   fallible builders ([`JobSpec::campaign`] /
 //!   [`JobSpec::lifetime`] / [`JobSpec::inject`]) mirroring
@@ -15,7 +15,7 @@
 //!   deterministic single-line emitters, and decoders read the
 //!   [`r2d3_netlist::json`] tree and return a typed [`ApiError`] — never
 //!   a panic — on any malformed input.
-//! * [`exec`] — the in-process executor: [`execute_local`] runs any
+//! * `exec` — the in-process executor: [`execute_local`] runs any
 //!   `JobSpec` to a [`JobOutcome`], and [`render_outcome`] renders it to
 //!   the exact artifact bytes the corresponding batch command emits.
 //!   Batch mode *is* submit-to-in-process-executor.

@@ -224,6 +224,12 @@ const MAX_MONTHS: usize = 12_000;
 /// any work runs, so this bounds what one submit line can claim.
 const MAX_SCENARIOS: usize = 65_536;
 
+/// Largest `--core` file read: 64 MiB, about 15,000× the vendored
+/// 4.5 KB core. A job names the path, so the read is bounded before
+/// it allocates; a length check alone would not do, because devices
+/// such as `/dev/zero` report length 0.
+const MAX_CORE_BYTES: u64 = 64 << 20;
+
 impl CampaignSpec {
     fn validate(&self) -> Result<(), ApiError> {
         if !(1..=MAX_SCENARIOS).contains(&self.scenarios) {
@@ -601,12 +607,22 @@ pub(crate) fn parse_substrate_kind(token: &str) -> Result<SubstrateKind, ApiErro
 ///
 /// # Errors
 ///
-/// [`EngineError::InvalidConfig`] describing the read or parse failure.
+/// [`EngineError::InvalidConfig`] describing the read or parse failure,
+/// or naming the size limit for a file larger than 64 MiB.
 pub fn load_core_stages(path: &str) -> Result<Vec<StageNetlist>, EngineError> {
+    use std::io::Read as _;
     // Read-only user input, not durable state: stays off the chaos Vfs
     // seam on purpose (a failed read is a typed config error up front).
-    let text = std::fs::read_to_string(path)
+    let mut text = String::new();
+    std::fs::File::open(path)
+        .and_then(|f| f.take(MAX_CORE_BYTES + 1).read_to_string(&mut text))
         .map_err(|e| EngineError::InvalidConfig(format!("{path}: {e}")))?;
+    if text.len() as u64 > MAX_CORE_BYTES {
+        return Err(EngineError::InvalidConfig(format!(
+            "{path}: core file is larger than the {} MiB limit",
+            MAX_CORE_BYTES >> 20
+        )));
+    }
     let netlist = if text.trim_start().starts_with('{') {
         let core = r2d3_netlist::parse_yosys_json(&text, None)
             .map_err(|e| EngineError::InvalidConfig(format!("{path}: {e}")))?;
@@ -617,11 +633,10 @@ pub fn load_core_stages(path: &str) -> Result<Vec<StageNetlist>, EngineError> {
         r2d3_netlist::text_parse(&text)
             .map_err(|e| EngineError::InvalidConfig(format!("{path}: {e}")))?
     };
-    let core_outputs = netlist.outputs().len();
     Unit::ALL
         .iter()
         .map(|&u| {
-            StageNetlist::from_netlist(u, netlist.clone(), core_outputs)
+            StageNetlist::from_netlist(u, netlist.clone())
                 .map_err(|e| EngineError::InvalidConfig(format!("{path}: {e}")))
         })
         .collect()
@@ -710,5 +725,30 @@ mod tests {
             assert_eq!(parse_unit(unit_token(u)).unwrap(), u);
         }
         assert!(parse_policy("NoRecon").is_err(), "wire tokens are exact, not Display");
+    }
+
+    fn assert_size_error(result: Result<Vec<StageNetlist>, EngineError>) {
+        match result {
+            Err(EngineError::InvalidConfig(msg)) => {
+                assert!(msg.ends_with("larger than the 64 MiB limit"), "{msg}");
+            }
+            other => panic!("expected the size error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn core_file_one_byte_past_the_limit_is_refused() {
+        // Sparse: takes no disk space, but reads as MAX_CORE_BYTES + 1 zeros.
+        let path = std::env::temp_dir().join(format!("r2d3-big-core-{}.nl", std::process::id()));
+        std::fs::File::create(&path).unwrap().set_len(MAX_CORE_BYTES + 1).unwrap();
+        let result = load_core_stages(path.to_str().unwrap());
+        std::fs::remove_file(&path).unwrap();
+        assert_size_error(result);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn endless_core_device_is_refused() {
+        assert_size_error(load_core_stages("/dev/zero"));
     }
 }

@@ -1,7 +1,7 @@
 //! The versioned JSON-lines wire protocol.
 //!
 //! One document per line, every document stamped with
-//! [`PROTO_VERSION`](super::PROTO_VERSION). Encoders are deterministic
+//! [`PROTO_VERSION`]. Encoders are deterministic
 //! single-line emitters — fixed field order, no whitespace variance — so
 //! identical values always produce identical bytes. Decoders read the
 //! [`r2d3_netlist::json`] tree through its required-field accessors: any
@@ -12,7 +12,7 @@
 //! Full-range `u64` values (seeds, job ids) travel as lowercase hex
 //! *strings* ([`hex_u64`]); bare-integer counts must be exact (below
 //! 2^53). Free-text strings (client names, error messages) are escaped
-//! by [`escape`], which maps non-ASCII and unsupported control bytes to
+//! by `escape`, which maps non-ASCII and unsupported control bytes to
 //! `?`, so every line an encoder writes is ASCII. Decoders accept any
 //! standard JSON, including `\uXXXX` escapes and raw UTF-8.
 
@@ -207,7 +207,7 @@ pub(crate) fn decode_spec_value(v: &Value) -> Result<JobSpec, ApiError> {
 ///
 /// # Errors
 ///
-/// Typed [`ApiError`]; see [`decode_spec_value`].
+/// Typed [`ApiError`] for a malformed line or an invalid spec.
 pub fn decode_spec(line: &str) -> Result<JobSpec, ApiError> {
     decode_spec_value(&parse_doc(line)?)
 }

@@ -24,7 +24,7 @@
 //!   ([`MAX_REQUEST_LINE`]) and nesting depth; a bad line gets a typed
 //!   error response and the connection stays usable.
 //! * **Fairness is deterministic.** Units are dispatched by a
-//!   quota-proportional deficit scheduler ([`sched`]) with documented,
+//!   quota-proportional deficit scheduler (`sched`) with documented,
 //!   worker-count-independent tie-breaking.
 //!
 //! Live job events stream to `watch` subscribers with per-subscriber

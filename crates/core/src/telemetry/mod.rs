@@ -22,8 +22,9 @@
 //! * [`Metrics`]/[`MetricsSnapshot`] aggregate derived per-epoch
 //!   metrics — counters plus fixed-bucket [`Histogram`]s for detection
 //!   latency, replay count, reformation cost and rotation churn;
-//! * [`export`] renders record streams as JSON-lines or Chrome
-//!   trace-event JSON (loadable in Perfetto / `chrome://tracing`).
+//! * [`json_lines`] and [`chrome_trace`] render record streams as
+//!   JSON-lines or Chrome trace-event JSON (loadable in Perfetto /
+//!   `chrome://tracing`).
 //!
 //! # Determinism contract
 //!

@@ -82,7 +82,7 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::ImmOutOfRange`] if an instruction cannot be
+    /// Returns [`crate::IsaError::ImmOutOfRange`] if an instruction cannot be
     /// encoded (a `Jal` offset outside its field).
     pub fn to_words(&self) -> Result<Vec<u32>, crate::IsaError> {
         let mut out = Vec::with_capacity(4 + self.text.len() + self.data.len());
@@ -102,7 +102,7 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// Returns [`IsaError::DecodeInvalid`] for a bad magic word, a
+    /// Returns [`crate::IsaError::DecodeInvalid`] for a bad magic word, a
     /// truncated image, or an undecodable instruction word.
     pub fn from_words(words: &[u32]) -> Result<Program, crate::IsaError> {
         let bad = || crate::IsaError::DecodeInvalid(words.first().copied().unwrap_or(0));

@@ -315,7 +315,8 @@ impl NetlistBuilder {
     ///
     /// # Panics
     ///
-    /// Debug-asserts the structural invariants via [`Netlist::validate`].
+    /// In debug builds, panics if the netlist violates a structural IR
+    /// invariant checked by [`crate::ir::validate`].
     #[must_use]
     pub fn finish(self) -> Netlist {
         let nl = Netlist::from_parts(
@@ -325,7 +326,7 @@ impl NetlistBuilder {
             self.outputs,
             self.redundant_constants,
         );
-        debug_assert_eq!(nl.validate(), Ok(()));
+        debug_assert_eq!(crate::ir::validate(&nl), Ok(()));
         nl
     }
 }

@@ -1,6 +1,6 @@
-//! Validated intermediate representation over [`Netlist`].
+//! Validated intermediate representation over [`Netlist`](crate::Netlist).
 //!
-//! The rest of the workspace treats [`Netlist`] as an IR with hard
+//! The rest of the workspace treats `Netlist` as an IR with hard
 //! invariants — topological gate order, single drivers, exact arities,
 //! no dangling nets — but until this module existed those invariants
 //! were only enforced by the builder and spot-checked with
@@ -9,9 +9,9 @@
 //!
 //! * [`validate`] — the structural validator. Single-driver, acyclic,
 //!   arity-checked, no dangling nets; returns typed [`IrError`]s and
-//!   never panics, so importers ([`crate::blif`],
-//!   [`crate::yosys_json`]) can surface malformed input as errors
-//!   instead of producing a netlist that fails later in simulation.
+//!   never panics, so importers ([`crate::yosys_json`]) can surface
+//!   malformed input as errors instead of producing a netlist that
+//!   fails later in simulation.
 //! * [`text_emit`] / [`text_parse`] — a deterministic, human-readable
 //!   text format that round-trips exactly (`text_parse(text_emit(n)) ==
 //!   n`), used as the interchange artifact between `r2d3 import` and

@@ -8,7 +8,7 @@
 //! stuck-at fault model. We do not have that netlist or tool, so this crate
 //! provides the substitute substrate:
 //!
-//! * a simple combinational/sequential gate-level netlist representation
+//! * a simple combinational gate-level netlist representation
 //!   ([`Netlist`], [`Gate`], [`NetId`]) with 64-way bit-parallel evaluation
 //!   (64 test patterns per simulation pass),
 //! * builder combinators for realistic datapath structures
@@ -50,19 +50,15 @@
 //! assert_eq!(value, 8);
 //! ```
 
-pub mod blif;
 pub mod builder;
-pub mod crossbar;
 pub mod ir;
 pub mod json;
 pub mod netlist;
-pub mod sequential;
 pub mod sim;
 pub mod stages;
 pub mod yosys_json;
 
 pub use builder::NetlistBuilder;
-pub use crossbar::{checker, crossbar_receiver};
 pub use ir::{
     analyze_levels, rewrite, text_emit, text_parse, IrError, LevelMap, PassManager, RewriteOutcome,
     RewriteStats,
@@ -70,33 +66,17 @@ pub use ir::{
 pub use netlist::{
     compose_chain, compose_chain_with, ComposeOptions, Gate, GateKind, NetId, Netlist,
 };
-pub use sequential::{register_outputs, SequentialNetlist};
 pub use sim::{pack_blocks, FaultCone, FaultSim, SimBlock, SimScratch, SimdKernel, WideScratch};
 pub use stages::{stage_netlist, StageNetlist, StageSizing};
 pub use yosys_json::{parse_yosys_json, ImportedCore, YosysJsonError};
 
 use std::fmt;
 
-/// Errors raised while constructing or validating netlists.
+/// Errors raised while composing netlists; structural violations are
+/// [`IrError`]s from [`ir::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetlistError {
-    /// A gate input references a net with no driver defined yet.
-    UndrivenInput {
-        /// Index of the offending gate in evaluation order.
-        gate_index: usize,
-        /// The undriven net.
-        net: NetId,
-    },
-    /// A net has more than one driver.
-    MultipleDrivers(NetId),
-    /// Input vector length does not match the primary-input count.
-    InputLenMismatch {
-        /// Expected width.
-        expected: usize,
-        /// Provided width.
-        got: usize,
-    },
     /// Chain composition was asked to join an empty list.
     EmptyChain,
 }
@@ -104,13 +84,6 @@ pub enum NetlistError {
 impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetlistError::UndrivenInput { gate_index, net } => {
-                write!(f, "gate {gate_index} reads undriven net {net}")
-            }
-            NetlistError::MultipleDrivers(n) => write!(f, "net {n} has multiple drivers"),
-            NetlistError::InputLenMismatch { expected, got } => {
-                write!(f, "expected {expected} input values, got {got}")
-            }
             NetlistError::EmptyChain => write!(f, "cannot compose an empty stage chain"),
         }
     }

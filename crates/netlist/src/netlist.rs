@@ -162,32 +162,6 @@ impl Netlist {
         &self.redundant_constants
     }
 
-    /// Validates structural invariants: every gate input is driven by a
-    /// primary input or an earlier gate, and every net has at most one
-    /// driver.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant.
-    pub fn validate(&self) -> Result<(), NetlistError> {
-        let mut driven = vec![false; self.num_nets];
-        for d in driven.iter_mut().take(self.num_inputs) {
-            *d = true;
-        }
-        for (i, gate) in self.gates.iter().enumerate() {
-            for &input in &gate.inputs {
-                if !driven[input.index()] {
-                    return Err(NetlistError::UndrivenInput { gate_index: i, net: input });
-                }
-            }
-            if driven[gate.output.index()] {
-                return Err(NetlistError::MultipleDrivers(gate.output));
-            }
-            driven[gate.output.index()] = true;
-        }
-        Ok(())
-    }
-
     /// Evaluates all nets for 64 parallel patterns.
     ///
     /// `inputs[i]` carries 64 values (one per bit lane) for primary input
@@ -554,7 +528,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_builder_output() {
-        xor_circuit().validate().unwrap();
+        crate::ir::validate(&xor_circuit()).unwrap();
     }
 
     #[test]
@@ -572,7 +546,7 @@ mod tests {
         let s1 = stage();
         let s2 = stage();
         let (composed, maps) = compose_chain(&[&s1, &s2]).unwrap();
-        composed.validate().unwrap();
+        crate::ir::validate(&composed).unwrap();
         assert_eq!(composed.num_inputs(), 2);
         assert_eq!(composed.outputs().len(), 2);
         assert_eq!(maps.len(), 2);

@@ -1088,7 +1088,7 @@ impl FaultSim {
     /// `trailing_zeros` (the first detecting lane) are exact, but
     /// [`SimScratch::value`] is only meaningful for nets written before
     /// the stop. Campaign classification needs exactly the former two;
-    /// dictionary building keeps the full walk.
+    /// callers that read net values keep the full walk.
     pub fn eval_stuck_detect(&self, good: &[u64], stuck: (NetId, bool), scratch: &mut SimScratch) {
         assert_eq!(good.len(), self.num_nets, "good vector length");
         scratch.begin(self.num_nets);

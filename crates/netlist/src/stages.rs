@@ -57,7 +57,6 @@ impl StageSizing {
 pub struct StageNetlist {
     unit: Unit,
     netlist: Netlist,
-    core_outputs: usize,
 }
 
 impl StageNetlist {
@@ -73,31 +72,16 @@ impl StageNetlist {
         &self.netlist
     }
 
-    /// Number of *architectural* outputs (the unit's real stage-boundary
-    /// signals; the remaining outputs are filler observation points).
-    #[must_use]
-    pub fn core_output_count(&self) -> usize {
-        self.core_outputs
-    }
-
     /// Wraps an externally built netlist (e.g. a Yosys-JSON import) as a
     /// stage for `unit`, validating it against the IR invariants first.
-    /// All of the netlist's outputs are treated as architectural
-    /// stage-boundary signals (`core_outputs` clamps to the output
-    /// count).
     ///
     /// # Errors
     ///
     /// Returns the [`crate::ir::IrError`] if the netlist violates any
     /// structural IR invariant.
-    pub fn from_netlist(
-        unit: Unit,
-        netlist: Netlist,
-        core_outputs: usize,
-    ) -> Result<Self, crate::ir::IrError> {
+    pub fn from_netlist(unit: Unit, netlist: Netlist) -> Result<Self, crate::ir::IrError> {
         crate::ir::validate(&netlist)?;
-        let core_outputs = core_outputs.min(netlist.outputs().len());
-        Ok(StageNetlist { unit, netlist, core_outputs })
+        Ok(StageNetlist { unit, netlist })
     }
 }
 
@@ -119,11 +103,9 @@ pub fn stage_netlist(unit: Unit, sizing: &StageSizing) -> StageNetlist {
     let seed = sizing.seed ^ (unit.index() as u64).wrapping_mul(0x9e37_79b9);
     let filler_outputs = add_filler(&mut b, &core_outputs, budget, sizing.redundant_fraction, seed);
 
-    let core_output_count = core_outputs.len();
     b.outputs(&core_outputs);
     b.outputs(&filler_outputs);
-    let netlist = b.finish();
-    StageNetlist { unit, netlist, core_outputs: core_output_count }
+    StageNetlist { unit, netlist: b.finish() }
 }
 
 /// Generates all five unit netlists with the same sizing.
@@ -421,7 +403,7 @@ mod tests {
     fn all_units_generate_valid_netlists() {
         let sizing = StageSizing { gates_per_mm2: 3_000.0, ..StageSizing::default() };
         for sn in all_stage_netlists(&sizing) {
-            sn.netlist().validate().unwrap();
+            crate::ir::validate(sn.netlist()).unwrap();
             assert!(sn.netlist().num_gates() >= sizing.gate_budget(sn.unit()));
             assert!(!sn.netlist().outputs().is_empty());
             assert!(

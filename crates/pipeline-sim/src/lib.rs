@@ -39,7 +39,6 @@
 //! ```
 
 pub mod cache;
-pub mod ecc;
 pub mod fabric;
 pub mod pipeline;
 pub mod predictor;
@@ -47,7 +46,6 @@ pub mod stage;
 pub mod stats;
 pub mod system;
 pub mod trace;
-pub mod vcd;
 
 pub use cache::{Cache, CacheConfig, MemoryHierarchy};
 pub use fabric::{Fabric, LinkFault};

@@ -252,10 +252,9 @@ fn golden_core_campaign_has_no_failures() {
 
     let core = parse_yosys_json(ALU4_JSON, None).unwrap();
     let rewritten = rewrite(&core.netlist).unwrap().netlist;
-    let core_outputs = rewritten.outputs().len();
     let stages: Vec<StageNetlist> = r2d3_isa::Unit::ALL
         .iter()
-        .map(|&u| StageNetlist::from_netlist(u, rewritten.clone(), core_outputs).unwrap())
+        .map(|&u| StageNetlist::from_netlist(u, rewritten.clone()).unwrap())
         .collect();
 
     let config = CampaignConfig {
