@@ -16,7 +16,8 @@
 
 use crate::args::{parse_substrate, Command, SubstrateChoice};
 use r2d3_core::api::{
-    execute_local, render_outcome, run_inject_with, standard_system, JobKind, JobOutcome, JobSpec,
+    execute_local, read_bounded, render_outcome, run_inject_with, standard_system, JobKind,
+    JobOutcome, JobSpec, MAX_CORE_BYTES,
 };
 use r2d3_core::campaign::SubstrateKind;
 use r2d3_core::engine::{EngineEvent, R2d3Engine};
@@ -561,10 +562,14 @@ fn stream_scenario<S: ReliabilitySubstrate>(
     Ok(engine.into_telemetry().finish()?)
 }
 
+/// Largest trace `trace --check` reads: 256 MiB, about 30× the 8.2 MB
+/// Chrome trace of the default `campaign --trace-out`.
+const MAX_TRACE_BYTES: u64 = 256 << 20;
+
 /// Validates a trace file emitted by any `--trace-out` (Chrome format)
 /// or `trace --format jsonl` (JSON lines).
 fn check_trace(path: &str) -> CliResult {
-    let text = std::fs::read_to_string(path)?;
+    let text = read_bounded(path, "trace file", MAX_TRACE_BYTES)?;
     // Both formats open with `{`; only the Chrome envelope opens with
     // its mandatory `traceEvents` key. JSON-lines records never do.
     let (kind, events) = if text.trim_start().starts_with("{\"traceEvents\"") {
@@ -594,7 +599,7 @@ pub fn import(args: &[String]) -> CliResult {
         return Ok(());
     };
     let path = p.positional(0);
-    let json = std::fs::read_to_string(path)?;
+    let json = read_bounded(path, "core file", MAX_CORE_BYTES)?;
     let core = parse_yosys_json(&json, p.get("top")).map_err(|e| format!("{path}: {e}"))?;
 
     let ports = |ports: &[(String, usize)]| {
@@ -901,6 +906,7 @@ pub fn info() -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use r2d3_core::api::InputError;
 
     #[test]
     fn unit_names_parse_case_insensitively() {
@@ -931,5 +937,49 @@ mod tests {
         assert!(validate_chrome_trace(&chrome).unwrap() > 0);
         let jsonl = json_lines(&records);
         assert_eq!(validate_json_lines(&jsonl).unwrap(), records.len());
+    }
+
+    /// Asserts `result` is the typed refusal naming a `mib` MiB limit.
+    fn assert_too_large(result: CliResult, mib: u64) {
+        let err = result.expect_err("the input is refused");
+        assert!(
+            matches!(err.downcast_ref(), Some(InputError::TooLarge { limit, .. }) if *limit == mib << 20),
+            "{err}"
+        );
+        assert!(err.to_string().ends_with(&format!("larger than the {mib} MiB limit")), "{err}");
+    }
+
+    /// Runs `command` on a sparse file one byte past `limit`: it takes no
+    /// disk space, and is refused by its length before any read.
+    fn one_byte_past(name: &str, limit: u64, command: impl Fn(&str) -> CliResult) -> CliResult {
+        let path = std::env::temp_dir().join(format!("r2d3-{name}-{}", std::process::id()));
+        std::fs::File::create(&path).unwrap().set_len(limit + 1).unwrap();
+        let result = command(path.to_str().unwrap());
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
+    fn import_path(path: &str) -> CliResult {
+        import(&[path.to_string()])
+    }
+
+    fn check_path(path: &str) -> CliResult {
+        trace(&["--check".to_string(), path.to_string()])
+    }
+
+    #[test]
+    fn import_refuses_a_core_one_byte_past_the_limit() {
+        assert_too_large(one_byte_past("big-core.json", MAX_CORE_BYTES, import_path), 64);
+    }
+
+    #[test]
+    fn trace_check_refuses_a_trace_one_byte_past_the_limit() {
+        assert_too_large(one_byte_past("big-trace.json", MAX_TRACE_BYTES, check_path), 256);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn import_refuses_an_endless_device() {
+        assert_too_large(import_path("/dev/zero"), 64);
     }
 }

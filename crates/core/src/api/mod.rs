@@ -32,9 +32,9 @@ pub use exec::{
     execute_local, render_outcome, run_inject_with, standard_system, InjectOutcome, JobOutcome,
 };
 pub use spec::{
-    load_core_stages, parse_policy, parse_unit, parse_workload, policy_token, unit_token,
-    workload_token, CampaignJobBuilder, CampaignSpec, InjectJobBuilder, InjectSpec, JobId, JobKind,
-    JobSpec, LifetimeJobBuilder, LifetimeSpec,
+    load_core_stages, parse_policy, parse_unit, parse_workload, policy_token, read_bounded,
+    unit_token, workload_token, CampaignJobBuilder, CampaignSpec, InjectJobBuilder, InjectSpec,
+    InputError, JobId, JobKind, JobSpec, LifetimeJobBuilder, LifetimeSpec, MAX_CORE_BYTES,
 };
 pub use wire::{JobEvent, JobState, JobStatus, Reply, Request, Response};
 

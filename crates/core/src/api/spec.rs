@@ -224,11 +224,9 @@ const MAX_MONTHS: usize = 12_000;
 /// any work runs, so this bounds what one submit line can claim.
 const MAX_SCENARIOS: usize = 65_536;
 
-/// Largest `--core` file read: 64 MiB, about 15,000× the vendored
-/// 4.5 KB core. A job names the path, so the read is bounded before
-/// it allocates; a length check alone would not do, because devices
-/// such as `/dev/zero` report length 0.
-const MAX_CORE_BYTES: u64 = 64 << 20;
+/// Largest `--core` file read (by jobs, `campaign --core` and `r2d3
+/// import`): 64 MiB, about 15,000× the vendored 4.5 KB core.
+pub const MAX_CORE_BYTES: u64 = 64 << 20;
 
 impl CampaignSpec {
     fn validate(&self) -> Result<(), ApiError> {
@@ -599,6 +597,74 @@ pub(crate) fn parse_substrate_kind(token: &str) -> Result<SubstrateKind, ApiErro
     }
 }
 
+/// A user-named input file refused before it was parsed.
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum InputError {
+    /// The file could not be opened or read, or is not UTF-8.
+    Io {
+        /// The path as given.
+        path: String,
+        /// What the operating system reported.
+        source: std::io::Error,
+    },
+    /// The file holds more than `limit` bytes.
+    TooLarge {
+        /// The path as given.
+        path: String,
+        /// What the file was read as, e.g. `core file`.
+        what: &'static str,
+        /// The size limit in bytes.
+        limit: u64,
+    },
+}
+
+impl fmt::Display for InputError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InputError::Io { path, source } => write!(f, "{path}: {source}"),
+            InputError::TooLarge { path, what, limit } => {
+                write!(f, "{path}: {what} is larger than the {} MiB limit", limit >> 20)
+            }
+        }
+    }
+}
+
+impl std::error::Error for InputError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            InputError::Io { source, .. } => Some(source),
+            InputError::TooLarge { .. } => None,
+        }
+    }
+}
+
+/// Reads the user-named file at `path` as UTF-8 text, refusing one of
+/// more than `limit` bytes. A regular file is refused by its length
+/// before any of it is read. The read itself is bounded too, because
+/// devices such as `/dev/zero` report length 0; so a path from a job or
+/// a command line never makes the reader allocate past `limit`.
+///
+/// # Errors
+///
+/// [`InputError::TooLarge`] past the limit, [`InputError::Io`] when the
+/// file cannot be opened or read or is not UTF-8.
+pub fn read_bounded(path: &str, what: &'static str, limit: u64) -> Result<String, InputError> {
+    use std::io::Read as _;
+    let io = |source| InputError::Io { path: path.to_string(), source };
+    let too_large = || InputError::TooLarge { path: path.to_string(), what, limit };
+    let file = std::fs::File::open(path).map_err(io)?;
+    if file.metadata().map_err(io)?.len() > limit {
+        return Err(too_large());
+    }
+    let mut text = String::new();
+    file.take(limit + 1).read_to_string(&mut text).map_err(io)?;
+    if text.len() as u64 > limit {
+        return Err(too_large());
+    }
+    Ok(text)
+}
+
 /// Loads a `--core` file — either the text netlist format emitted by
 /// `r2d3 import` (used as-is) or a raw Yosys-JSON core (which gets the
 /// full import pipeline: validate + rewrite) — and maps the one core
@@ -608,21 +674,12 @@ pub(crate) fn parse_substrate_kind(token: &str) -> Result<SubstrateKind, ApiErro
 /// # Errors
 ///
 /// [`EngineError::InvalidConfig`] describing the read or parse failure,
-/// or naming the size limit for a file larger than 64 MiB.
+/// or naming the size limit for a file larger than [`MAX_CORE_BYTES`].
 pub fn load_core_stages(path: &str) -> Result<Vec<StageNetlist>, EngineError> {
-    use std::io::Read as _;
     // Read-only user input, not durable state: stays off the chaos Vfs
     // seam on purpose (a failed read is a typed config error up front).
-    let mut text = String::new();
-    std::fs::File::open(path)
-        .and_then(|f| f.take(MAX_CORE_BYTES + 1).read_to_string(&mut text))
-        .map_err(|e| EngineError::InvalidConfig(format!("{path}: {e}")))?;
-    if text.len() as u64 > MAX_CORE_BYTES {
-        return Err(EngineError::InvalidConfig(format!(
-            "{path}: core file is larger than the {} MiB limit",
-            MAX_CORE_BYTES >> 20
-        )));
-    }
+    let text = read_bounded(path, "core file", MAX_CORE_BYTES)
+        .map_err(|e| EngineError::InvalidConfig(e.to_string()))?;
     let netlist = if text.trim_start().starts_with('{') {
         let core = r2d3_netlist::parse_yosys_json(&text, None)
             .map_err(|e| EngineError::InvalidConfig(format!("{path}: {e}")))?;
@@ -738,7 +795,7 @@ mod tests {
 
     #[test]
     fn core_file_one_byte_past_the_limit_is_refused() {
-        // Sparse: takes no disk space, but reads as MAX_CORE_BYTES + 1 zeros.
+        // Sparse: takes no disk space, and is refused by its length.
         let path = std::env::temp_dir().join(format!("r2d3-big-core-{}.nl", std::process::id()));
         std::fs::File::create(&path).unwrap().set_len(MAX_CORE_BYTES + 1).unwrap();
         let result = load_core_stages(path.to_str().unwrap());

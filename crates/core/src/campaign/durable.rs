@@ -6,8 +6,9 @@
 //! * **One loop** — every campaign schedule (batch, traced,
 //!   checkpointed, sharded, served) runs the private `sweep` through
 //!   [`run_campaign`], [`run_campaign_traced`] or
-//!   [`run_campaign_durable`], which hands the observer a portable
-//!   [`CampaignState`] after every scenario.
+//!   [`run_campaign_durable`]. It runs scenarios on every host core and
+//!   hands the observer a portable [`CampaignState`] after every
+//!   scenario, in scenario order.
 //! * **Sharding** — [`ShardSpec`] deterministically partitions the
 //!   scenario space (`id % total == index - 1`, so the round-robin kind
 //!   cycle stays balanced across shards); [`run_campaign_durable`] with
@@ -32,10 +33,14 @@ use crate::snapshot::{self, SnapshotError};
 use crate::telemetry::Histogram;
 use r2d3_netlist::json::{self, hex_u64, FieldError, Value};
 use r2d3_pipeline_sim::StageId;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// One shard of a partitioned campaign: shard `index` of `total`
 /// (1-based, like the CLI's `--shard K/N`).
@@ -107,7 +112,7 @@ pub fn shard_scenarios(config: &CampaignConfig, shard: ShardSpec) -> Vec<FaultSc
     campaign_scenarios(config).into_iter().filter(|s| shard.owns(s.id)).collect()
 }
 
-fn campaign_scenarios(config: &CampaignConfig) -> Vec<FaultScenario> {
+pub(super) fn campaign_scenarios(config: &CampaignConfig) -> Vec<FaultScenario> {
     generate_scenarios_with(
         &ScenarioSpace {
             seed: config.seed,
@@ -517,17 +522,32 @@ where
 }
 
 /// The one campaign loop: every scenario runs on a fresh substrate and
-/// engine, and the observer sees the state after each one.
+/// engine, one worker per host core, and the observer sees the state
+/// after each one in scenario order.
 fn sweep<F>(
     config: &CampaignConfig,
     shard: Option<ShardSpec>,
     resume: Option<CampaignState>,
-    mut traces: Option<&mut Vec<CampaignTrace>>,
+    traces: Option<&mut Vec<CampaignTrace>>,
     mut observe: F,
 ) -> Result<Option<CampaignReport>, SnapshotError>
 where
     F: FnMut(&CampaignState) -> Result<ControlFlow<()>, SnapshotError>,
 {
+    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    sweep_on(host, config, shard, resume, traces, &mut observe)
+}
+
+/// [`sweep`] on `workers` threads. The observer is a trait object so
+/// the worker code is compiled once, not once per observer type.
+fn sweep_on(
+    workers: usize,
+    config: &CampaignConfig,
+    shard: Option<ShardSpec>,
+    resume: Option<CampaignState>,
+    mut traces: Option<&mut Vec<CampaignTrace>>,
+    observe: &mut dyn FnMut(&CampaignState) -> Result<ControlFlow<()>, SnapshotError>,
+) -> Result<Option<CampaignReport>, SnapshotError> {
     let digest = campaign_digest(config, shard);
     let scenarios = match shard {
         Some(s) => shard_scenarios(config, s),
@@ -573,15 +593,24 @@ where
     while st.substrate_cursor < config.substrates.len() {
         let kind = config.substrates[st.substrate_cursor];
         let prepared = PreparedSubstrate::new(kind, config);
-        while st.scenario_cursor < scenarios.len() {
-            let scenario = &scenarios[st.scenario_cursor];
-            let (result, metrics) = prepared.run_one(scenario, config, traces.as_deref_mut());
-            st.partial_metrics.absorb(&metrics);
-            st.partial_results.push(result);
-            st.scenario_cursor += 1;
-            if observe(&st)?.is_break() {
-                return Ok(None);
-            }
+        let traced = traces.is_some();
+        let flow = run_in_order(
+            workers,
+            &prepared,
+            &scenarios[st.scenario_cursor..],
+            |prepared, scenario| prepared.run_one(scenario, config, traced),
+            |(result, metrics, trace)| {
+                st.partial_metrics.absorb(&metrics);
+                st.partial_results.push(result);
+                st.scenario_cursor += 1;
+                if let (Some(traces), Some(trace)) = (traces.as_deref_mut(), trace) {
+                    traces.push(trace);
+                }
+                observe(&st)
+            },
+        )?;
+        if flow.is_break() {
+            return Ok(None);
         }
         st.completed.push(SubstrateReport {
             substrate: kind.name(),
@@ -598,6 +627,82 @@ where
         kinds: config.kinds.iter().map(|k| k.name()).collect(),
         substrates: st.completed,
     }))
+}
+
+/// Runs `run` over `items` on up to `workers` scoped threads and hands
+/// each output to `absorb` strictly in item order, so the caller sees the
+/// serial sequence whatever the worker count. Each worker runs on its own
+/// clone of `state` and claims the next index from a shared counter; an
+/// output that finishes ahead of its turn waits in a buffer. Once
+/// `absorb` breaks or fails, no further index is claimed and buffered
+/// outputs are dropped. A panic in `run` stops the claiming and resumes
+/// on the calling thread, so no shortened sequence is ever returned.
+fn run_in_order<W, T, R, E>(
+    workers: usize,
+    state: &W,
+    items: &[T],
+    run: impl Fn(&W, &T) -> R + Sync,
+    mut absorb: impl FnMut(R) -> Result<ControlFlow<()>, E>,
+) -> Result<ControlFlow<()>, E>
+where
+    W: Clone + Send,
+    T: Sync,
+    R: Send,
+{
+    // The counter and the flag publish no data: items are shared
+    // read-only from before the spawn and outputs travel through the
+    // channel, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel();
+        let handles: Vec<_> = (0..workers.max(1).min(items.len()))
+            .map(|_| {
+                let (tx, state, run, next, stop) = (tx.clone(), state.clone(), &run, &next, &stop);
+                scope.spawn(move || {
+                    let claimed = panic::catch_unwind(AssertUnwindSafe(|| {
+                        while !stop.load(Ordering::Relaxed) {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else { break };
+                            if tx.send((i, run(&state, item))).is_err() {
+                                break;
+                            }
+                        }
+                    }));
+                    if let Err(payload) = claimed {
+                        stop.store(true, Ordering::Relaxed);
+                        panic::resume_unwind(payload);
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+
+        let mut flow = Ok(ControlFlow::Continue(()));
+        let mut pending = BTreeMap::new();
+        let mut absorbed = 0;
+        'receive: for (i, output) in &rx {
+            pending.insert(i, output);
+            while let Some(output) = pending.remove(&absorbed) {
+                absorbed += 1;
+                flow = absorb(output);
+                if !matches!(flow, Ok(ControlFlow::Continue(()))) {
+                    break 'receive;
+                }
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        drop(rx);
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+        if matches!(flow, Ok(ControlFlow::Continue(()))) {
+            assert_eq!(absorbed, items.len(), "every worker exited before the last output");
+        }
+        flow
+    })
 }
 
 // --- JSON codec for report structures ------------------------------
@@ -946,6 +1051,141 @@ mod tests {
                 assert!(msg.contains("does not own"), "{msg}")
             }
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_worker_count_sees_the_serial_sweep() {
+        // Both substrates, each sweeping every fault kind once.
+        let config =
+            CampaignConfig { scenarios_per_substrate: KindId::COUNT, ..Default::default() };
+        let n = config.scenarios_per_substrate;
+        let names: Vec<&str> = config.substrates.iter().map(SubstrateKind::name).collect();
+        let cursors: Vec<(usize, usize)> =
+            (0..names.len()).flat_map(|s| (1..=n).map(move |k| (s, k))).collect();
+        let order: Vec<(&str, u32)> =
+            names.iter().flat_map(|&name| (0..n as u32).map(move |id| (name, id))).collect();
+        // Stop three scenarios into the netlist sweep.
+        let stop_at = n + 3;
+        let mut serial = None;
+        for workers in [1, 2, 3, 7] {
+            let mut traces = Vec::new();
+            let mut seen = Vec::new();
+            let report = sweep_on(workers, &config, None, None, Some(&mut traces), &mut |st| {
+                seen.push((st.substrate(), st.scenario()));
+                Ok(ControlFlow::Continue(()))
+            })
+            .unwrap()
+            .expect("observer never breaks");
+            assert_eq!(seen, cursors, "{workers} workers: one scenario per observer call");
+            let traced: Vec<(&str, u32)> =
+                traces.iter().map(|t| (t.substrate, t.scenario)).collect();
+            assert_eq!(traced, order, "{workers} workers: traces in sweep order");
+
+            let path = tmp_path(&format!("worker-stop-{workers}"));
+            let mut calls = 0;
+            let stopped = sweep_on(workers, &config, None, None, None, &mut |st| {
+                calls += 1;
+                if calls < stop_at {
+                    return Ok(ControlFlow::Continue(()));
+                }
+                st.save(&path)?;
+                Ok(ControlFlow::Break(()))
+            })
+            .unwrap();
+            assert!(stopped.is_none(), "{workers} workers: the observer's break stops the sweep");
+            assert_eq!(calls, stop_at, "{workers} workers: no call after the break");
+            let state = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+
+            let records: Vec<Vec<_>> = traces.into_iter().map(|t| t.records).collect();
+            match &serial {
+                None => serial = Some((report, records, state)),
+                Some((report1, records1, state1)) => {
+                    assert_eq!(&report, report1, "{workers} workers: report");
+                    assert!(&records == records1, "{workers} workers: trace records");
+                    assert!(
+                        &state == state1,
+                        "{workers} workers: snapshot bytes at step {stop_at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outputs_finished_out_of_order_are_absorbed_in_item_order() {
+        // Item 0 cannot finish before the last item has: every other item
+        // completes first, on the other workers.
+        let items: Vec<usize> = (0..12).collect();
+        for workers in [2, 3, 7] {
+            let last_done = std::sync::Barrier::new(2);
+            let mut absorbed = Vec::new();
+            let flow = run_in_order(
+                workers,
+                &(),
+                &items,
+                |(), &i| {
+                    if i == 0 || i == items.len() - 1 {
+                        last_done.wait();
+                    }
+                    i
+                },
+                |i| {
+                    absorbed.push(i);
+                    Ok::<_, ()>(ControlFlow::Continue(()))
+                },
+            );
+            assert_eq!(flow, Ok(ControlFlow::Continue(())));
+            assert_eq!(absorbed, items, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller_at_every_worker_count() {
+        let items: Vec<usize> = (0..24).collect();
+        for workers in [1, 2, 3, 7] {
+            let mut absorbed = Vec::new();
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                run_in_order(
+                    workers,
+                    &(),
+                    &items,
+                    |(), &i| {
+                        assert_ne!(i, 9, "item 9 fails");
+                        i
+                    },
+                    |i| {
+                        absorbed.push(i);
+                        Ok::<_, ()>(ControlFlow::Continue(()))
+                    },
+                )
+            }));
+            let payload = result.expect_err("the panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("item 9 fails"), "{workers} workers: {message}");
+            assert_eq!(absorbed, (0..9).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_panicking_scenario_panics_the_sweep() {
+        // An engine configuration the builder refuses makes every
+        // scenario panic inside its worker.
+        let mut config = tiny_config();
+        config.engine.t_test = config.engine.t_epoch + 1;
+        for workers in [1, 3] {
+            let mut calls = 0;
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                sweep_on(workers, &config, None, None, None, &mut |_| {
+                    calls += 1;
+                    Ok(ControlFlow::Continue(()))
+                })
+            }));
+            let payload = result.expect_err("the scenario's panic reaches the caller");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("campaign engine configuration"), "{workers}: {message}");
+            assert_eq!(calls, 0, "{workers} workers: no result was absorbed");
         }
     }
 

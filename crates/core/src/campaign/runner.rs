@@ -346,17 +346,23 @@ pub struct CampaignTrace {
     pub records: Vec<TelemetryRecord>,
 }
 
+/// What one scenario run yields: its result, its engine metrics and, on
+/// a traced run, its telemetry stream.
+pub(crate) type ScenarioRun = (ScenarioResult, MetricsSnapshot, Option<CampaignTrace>);
+
 /// A substrate kind with its expensive per-sweep setup done (workload
 /// programs built, netlists synthesized), able to execute scenarios one
 /// at a time — the unit of work the campaign loop checkpoints between.
 /// Every schedule (batch, traced, resumed, sharded) runs the same loop
 /// over [`PreparedSubstrate::run_one`], so they execute byte-identical
-/// per-scenario code.
+/// per-scenario code. Each sweep worker runs scenarios on its own clone.
+#[derive(Clone)]
 pub(crate) struct PreparedSubstrate {
     kind: SubstrateKind,
     inner: PreparedInner,
 }
 
+#[derive(Clone)]
 enum PreparedInner {
     /// Long-running syscall-heavy kernels keep every unit class busy;
     /// built once, cloned per scenario.
@@ -376,14 +382,20 @@ impl PreparedSubstrate {
                 sys_cfg: SystemConfig {
                     pipelines: config.pipelines,
                     layers: config.layers,
+                    // The epoch scan reads the newest `t_test` records
+                    // (`detect::epoch_scan_counted`); a longer ring holds
+                    // records nothing reads.
+                    trace_capacity: config.engine.t_test as usize,
                     ..Default::default()
                 },
             },
             SubstrateKind::Netlist => {
+                let defaults = NetlistSubstrateConfig::default();
                 let sub_cfg = NetlistSubstrateConfig {
                     pipelines: config.pipelines,
                     layers: config.layers,
-                    ..Default::default()
+                    trace_capacity: netlist_ring_capacity(&config.engine, defaults.cycles_per_op),
+                    ..defaults
                 };
                 let template = match &config.netlist_stages {
                     Some(stages) => NetlistSubstrate::with_stage_netlists(&sub_cfg, stages.clone())
@@ -396,17 +408,17 @@ impl PreparedSubstrate {
         PreparedSubstrate { kind, inner }
     }
 
-    /// Executes one scenario end-to-end: run, classify, optionally
-    /// trace, shrink failures.
+    /// Executes one scenario end-to-end: run, classify, trace when
+    /// `traced`, shrink failures.
     pub(crate) fn run_one(
         &self,
         scenario: &FaultScenario,
         config: &CampaignConfig,
-        traces: Option<&mut Vec<CampaignTrace>>,
-    ) -> (ScenarioResult, MetricsSnapshot) {
+        traced: bool,
+    ) -> ScenarioRun {
         match &self.inner {
             PreparedInner::Behavioral { programs, sys_cfg } => {
-                run_one_scenario(self.kind, scenario, config, traces, || {
+                run_one_scenario(self.kind, scenario, config, traced, || {
                     let mut sys = System3d::new(sys_cfg);
                     for (p, prog) in programs.iter().enumerate() {
                         sys.load_program(p, prog.clone()).expect("campaign workload load");
@@ -415,39 +427,57 @@ impl PreparedSubstrate {
                 })
             }
             PreparedInner::Netlist { template } => {
-                run_one_scenario(self.kind, scenario, config, traces, || (**template).clone())
+                run_one_scenario(self.kind, scenario, config, traced, || (**template).clone())
             }
         }
     }
+}
+
+/// Trace-ring capacity of a netlist stage under `engine`: every record
+/// the epoch scan can keep.
+///
+/// The scan reads the newest `t_test` records and keeps those stamped at
+/// or after `now − t_epoch`, the epoch's start. A netlist stage stamps one
+/// record per `cycles_per_op` cycles: a `run` of `a` cycles from carry
+/// `c` retires `⌊(c + a) / cycles_per_op⌋` operations. However an epoch's
+/// cycles are split into `run` calls (the mid-window adversary makes
+/// two), its operations telescope through `cycle_carry` to at most
+/// `⌊(c + t_epoch) / cycles_per_op⌋ ≤ ⌈t_epoch / cycles_per_op⌉`; a carry
+/// reset by a restore or restart only lowers the sum. Operations retire
+/// `cycles_per_op` cycles apart and each is stamped less than
+/// `cycles_per_op` cycles after it retires, so at most one earlier record
+/// is stamped at or after the boundary. Stamps rise in push order, so the
+/// kept records are at most the newest `⌈t_epoch / cycles_per_op⌉ + 1`;
+/// the last slot is headroom.
+fn netlist_ring_capacity(engine: &R2d3Config, cycles_per_op: u64) -> usize {
+    let per_epoch = engine.t_epoch.div_ceil(cycles_per_op.max(1));
+    engine.t_test.min(per_epoch + 2) as usize
 }
 
 fn run_one_scenario<S, F>(
     kind: SubstrateKind,
     scenario: &FaultScenario,
     config: &CampaignConfig,
-    traces: Option<&mut Vec<CampaignTrace>>,
+    traced: bool,
     make: F,
-) -> (ScenarioResult, MetricsSnapshot)
+) -> ScenarioRun
 where
     S: ReliabilitySubstrate,
     F: Fn() -> S,
 {
     // The sink is an observer only: outcome, counts and metrics are
     // identical on both arms (see `run_campaign_traced`).
-    let (outcome, counts, snapshot) = match traces {
-        Some(traces) => {
-            let exec = execute_scenario(make(), scenario, &config.engine, RingSink::new());
-            traces.push(CampaignTrace {
-                substrate: kind.name(),
-                scenario: scenario.id,
-                records: exec.engine.telemetry().records(),
-            });
-            (exec.outcome, exec.counts, exec.metrics)
-        }
-        None => {
-            let exec = execute_scenario(make(), scenario, &config.engine, NullSink);
-            (exec.outcome, exec.counts, exec.metrics)
-        }
+    let (outcome, counts, snapshot, trace) = if traced {
+        let exec = execute_scenario(make(), scenario, &config.engine, RingSink::new());
+        let trace = CampaignTrace {
+            substrate: kind.name(),
+            scenario: scenario.id,
+            records: exec.engine.telemetry().records(),
+        };
+        (exec.outcome, exec.counts, exec.metrics, Some(trace))
+    } else {
+        let exec = execute_scenario(make(), scenario, &config.engine, NullSink);
+        (exec.outcome, exec.counts, exec.metrics, None)
     };
     let shrunk = (config.shrink && outcome.is_failure()).then(|| {
         shrink_scenario(scenario, outcome, |cand| {
@@ -456,7 +486,7 @@ where
     });
     let result =
         ScenarioResult { id: scenario.id, kind: scenario.kind.name(), outcome, counts, shrunk };
-    (result, snapshot)
+    (result, snapshot, trace)
 }
 
 struct Execution<S: ReliabilitySubstrate, T: TelemetrySink> {
@@ -697,6 +727,57 @@ fn tally(events: &[EngineEvent], counts: &mut EventCounts, allowed: &mut BTreeSe
             EngineEvent::Repaired { .. }
             | EngineEvent::Suspended { .. }
             | EngineEvent::Rotated { .. } => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `prepared` with the trace rings every campaign used before they
+    /// were sized to the scan: the `SystemConfig` and
+    /// `NetlistSubstrateConfig` defaults.
+    fn with_default_rings(mut prepared: PreparedSubstrate) -> PreparedSubstrate {
+        match &mut prepared.inner {
+            PreparedInner::Behavioral { sys_cfg, .. } => {
+                sys_cfg.trace_capacity = SystemConfig::default().trace_capacity;
+            }
+            PreparedInner::Netlist { template } => {
+                let cfg = NetlistSubstrateConfig {
+                    pipelines: template.pipeline_count(),
+                    layers: template.layers(),
+                    ..Default::default()
+                };
+                **template = NetlistSubstrate::new(&cfg);
+            }
+        }
+        prepared
+    }
+
+    #[test]
+    fn scan_sized_rings_change_no_scenario() {
+        let engine = campaign_engine_config();
+        assert_eq!(netlist_ring_capacity(&engine, 16), 252);
+        // Two cycles of all 14 kinds, mid-window splits and transient
+        // rollbacks among them, on both substrates.
+        let config = CampaignConfig { scenarios_per_substrate: 28, ..Default::default() };
+        let scenarios = crate::campaign::durable::campaign_scenarios(&config);
+        assert!(scenarios.iter().any(|s| s.kind == FaultKind::MidWindow));
+        for &kind in &config.substrates {
+            let sized = PreparedSubstrate::new(kind, &config);
+            let default = with_default_rings(sized.clone());
+            let mut recoveries = 0;
+            for scenario in &scenarios {
+                let (result, metrics, trace) = sized.run_one(scenario, &config, true);
+                let (result0, metrics0, trace0) = default.run_one(scenario, &config, true);
+                let at = format!("{} scenario {} ({})", kind.name(), scenario.id, result.kind);
+                assert_eq!(result, result0, "{at}: result");
+                assert_eq!(metrics, metrics0, "{at}: metrics");
+                assert!(trace.unwrap().records == trace0.unwrap().records, "{at}: telemetry");
+                recoveries += result.counts.recoveries;
+            }
+            assert!(recoveries > 0, "{}: no scenario rolled a pipeline back", kind.name());
         }
     }
 }

@@ -314,28 +314,25 @@ fn generate_one(space: &ScenarioSpace, id: u32, kind_id: KindId) -> FaultScenari
         KindId::Burst => {
             let epoch = 1 + rng.gen_range(0..2u64);
             let n = 2 + rng.gen_range(0..2usize);
-            let mut stages = vec![serving];
-            while stages.len() < n {
+            // Consecutive seeds derive distinct fault effects, so two
+            // burst faults meeting as a comparison pair can never
+            // out-vote a healthy third stage.
+            let fault = |stage: StageId, j: usize| Injection {
+                epoch,
+                stage,
+                pipe: stage.layer,
+                seed: seed.wrapping_add(j as u64),
+            };
+            let mut injections = Vec::with_capacity(n);
+            injections.push(fault(serving, 0));
+            while injections.len() < n {
                 let u = INJECTABLE_UNITS[rng.gen_range(0..INJECTABLE_UNITS.len())];
                 let p = rng.gen_range(0..space.pipelines);
                 let s = StageId::new(p, u);
-                if !stages.contains(&s) {
-                    stages.push(s);
+                if !injections.iter().any(|inj| inj.stage == s) {
+                    injections.push(fault(s, injections.len()));
                 }
             }
-            let injections = stages
-                .iter()
-                .enumerate()
-                .map(|(j, &stage)| Injection {
-                    epoch,
-                    stage,
-                    pipe: stage.layer,
-                    // Consecutive seeds derive distinct fault effects, so
-                    // two burst faults meeting as a comparison pair can
-                    // never out-vote a healthy third stage.
-                    seed: seed.wrapping_add(j as u64),
-                })
-                .collect();
             (FaultKind::Burst, injections, epoch + 3)
         }
         KindId::CheckerCorrupt => {
@@ -432,23 +429,20 @@ fn generate_one(space: &ScenarioSpace, id: u32, kind_id: KindId) -> FaultScenari
             // escalation thresholds.
             let epoch = 1 + rng.gen_range(0..2u64);
             let n = 2 + rng.gen_range(0..3usize);
-            let mut units = vec![unit];
-            while units.len() < n {
+            let strike = |u, j: usize| Injection {
+                epoch,
+                stage: StageId::new(pipe, u),
+                pipe,
+                seed: seed.wrapping_add(j as u64),
+            };
+            let mut injections = Vec::with_capacity(n);
+            injections.push(strike(unit, 0));
+            while injections.len() < n {
                 let u = INJECTABLE_UNITS[rng.gen_range(0..INJECTABLE_UNITS.len())];
-                if !units.contains(&u) {
-                    units.push(u);
+                if !injections.iter().any(|inj| inj.stage.unit == u) {
+                    injections.push(strike(u, injections.len()));
                 }
             }
-            let injections = units
-                .iter()
-                .enumerate()
-                .map(|(j, &u)| Injection {
-                    epoch,
-                    stage: StageId::new(pipe, u),
-                    pipe,
-                    seed: seed.wrapping_add(j as u64),
-                })
-                .collect();
             (FaultKind::SeuBurst, injections, epoch + 2)
         }
     };

@@ -156,12 +156,13 @@ pub struct NetlistSubstrate {
     layers: usize,
     cycles_per_op: u64,
     seed: u64,
-    /// One synthesized netlist per unit kind, shared by all layers.
-    stage_netlists: Vec<StageNetlist>,
-    /// One incremental fault-simulation engine per unit kind (owned —
-    /// [`FaultSim`] copies what it needs), so faulty scans walk fanout
-    /// cones instead of re-evaluating whole netlists.
-    scan_sims: Vec<FaultSim>,
+    /// One synthesized netlist per unit kind, shared by all layers and,
+    /// being read-only, by every clone.
+    stage_netlists: Arc<[StageNetlist]>,
+    /// One incremental fault-simulation engine per unit kind (read-only,
+    /// shared by every clone like the netlists), so faulty scans walk
+    /// fanout cones instead of re-evaluating whole netlists.
+    scan_sims: Arc<[FaultSim]>,
     fabric: Fabric,
     health: Vec<GateHealth>,
     /// Armed one-shot transients: a per-stage XOR mask applied to the
@@ -175,7 +176,8 @@ pub struct NetlistSubstrate {
 }
 
 impl Clone for NetlistSubstrate {
-    /// Clones the full substrate state; the fold cache starts empty
+    /// Clones the mutable substrate state and shares the read-only
+    /// netlists and fault simulators; the fold cache starts empty
     /// (entries are pure functions of the cloned state, so dropping them
     /// never changes results — campaign scenarios clone a synthesized
     /// template instead of re-synthesizing five netlists per scenario).
@@ -184,8 +186,8 @@ impl Clone for NetlistSubstrate {
             layers: self.layers,
             cycles_per_op: self.cycles_per_op,
             seed: self.seed,
-            stage_netlists: self.stage_netlists.clone(),
-            scan_sims: self.scan_sims.clone(),
+            stage_netlists: Arc::clone(&self.stage_netlists),
+            scan_sims: Arc::clone(&self.scan_sims),
             fabric: self.fabric.clone(),
             health: self.health.clone(),
             pending_transients: self.pending_transients.clone(),
@@ -301,14 +303,13 @@ impl NetlistSubstrate {
         config: &NetlistSubstrateConfig,
         stage_netlists: Vec<StageNetlist>,
     ) -> Self {
-        let scan_sims: Vec<FaultSim> =
-            stage_netlists.iter().map(|sn| FaultSim::new(sn.netlist())).collect();
+        let scan_sims = stage_netlists.iter().map(|sn| FaultSim::new(sn.netlist())).collect();
         let nstages = config.layers * Unit::COUNT;
         NetlistSubstrate {
             layers: config.layers,
             cycles_per_op: config.cycles_per_op.max(1),
             seed: config.seed,
-            stage_netlists,
+            stage_netlists: stage_netlists.into(),
             scan_sims,
             fabric: Fabric::identity(config.layers, config.pipelines),
             health: vec![GateHealth::Healthy; nstages],
