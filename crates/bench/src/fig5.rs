@@ -39,8 +39,8 @@ pub fn quick_lifetime_config(policy: PolicyKind, workload: KernelKind) -> Lifeti
 ///
 /// # Panics
 ///
-/// Panics if a thermal solve fails (does not happen with the default
-/// grid).
+/// Panics if the grid's thermal response cannot be built (its
+/// conductance matrix is singular; the default grid's is not).
 #[must_use]
 pub fn fig5_sweep(workload: KernelKind) -> Fig5Results {
     sweep_with(workload, true)

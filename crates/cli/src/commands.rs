@@ -40,6 +40,10 @@ fn parse_unit(token: &str) -> Result<Unit, String> {
         .map_err(|_| format!("unknown unit `{token}` (IFU/EXU/LSU/TLU/FFU)"))
 }
 
+/// Largest assembly source `run` reads: 16 MiB, hundreds of thousands
+/// of instructions at a few dozen bytes a line.
+const MAX_SOURCE_BYTES: u64 = 16 << 20;
+
 /// `r2d3 run <file.s>`
 pub fn run(args: &[String]) -> CliResult {
     let cmd = Command::new("run", "assemble a .s program and run it on the 3D system")
@@ -53,7 +57,7 @@ pub fn run(args: &[String]) -> CliResult {
     let pipes: usize = p.get_or("pipes", 1)?;
     let cycles: u64 = p.get_or("cycles", 1_000_000)?;
 
-    let source = std::fs::read_to_string(path)?;
+    let source = read_bounded(path, "source file", MAX_SOURCE_BYTES)?;
     let program = parse_program(&source)?;
     println!("{path}: {} instructions, {} data words", program.len(), program.data_words());
 
@@ -967,6 +971,10 @@ mod tests {
         trace(&["--check".to_string(), path.to_string()])
     }
 
+    fn run_path(path: &str) -> CliResult {
+        run(&[path.to_string()])
+    }
+
     #[test]
     fn import_refuses_a_core_one_byte_past_the_limit() {
         assert_too_large(one_byte_past("big-core.json", MAX_CORE_BYTES, import_path), 64);
@@ -977,9 +985,20 @@ mod tests {
         assert_too_large(one_byte_past("big-trace.json", MAX_TRACE_BYTES, check_path), 256);
     }
 
+    #[test]
+    fn run_refuses_a_source_one_byte_past_the_limit() {
+        assert_too_large(one_byte_past("big-source.s", MAX_SOURCE_BYTES, run_path), 16);
+    }
+
     #[cfg(unix)]
     #[test]
     fn import_refuses_an_endless_device() {
         assert_too_large(import_path("/dev/zero"), 64);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn run_refuses_an_endless_device() {
+        assert_too_large(run_path("/dev/zero"), 16);
     }
 }

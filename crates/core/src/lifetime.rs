@@ -2,11 +2,15 @@
 //!
 //! Couples, on a monthly timestep, the pieces the paper's divide-and-
 //! conquer methodology chains: the policy's duty assignment → the power
-//! map → a HotSpot-style steady-state thermal solve → NBTI ΔVth
+//! map → the HotSpot-style grid's steady state → NBTI ΔVth
 //! accumulation → stochastic permanent-fault arrival → pipeline
 //! re-formation (repair) → throughput. Each monthly state also yields a
 //! forward Monte-Carlo MTTF estimate (Fig. 5(b)) from the instantaneous
 //! per-stage hazard rates.
+//!
+//! The grid is linear with constant conductances, so a run solves it
+//! once: [`SteadyResponse`] maps the month's block powers to exact
+//! block temperatures, and no replica carries thermal state.
 //!
 //! The cycle-level simulator is *not* stepped inside this loop (8 years
 //! ≈ 2.5 × 10¹⁷ cycles); instead, per-workload IPC and occupancy come
@@ -29,7 +33,7 @@ use r2d3_isa::Unit;
 use r2d3_netlist::json::{self, hex_u64, FieldError, Value};
 use r2d3_physical::{DesignVariant, PhysicalModel};
 use r2d3_pipeline_sim::StageId;
-use r2d3_thermal::{Floorplan, GridConfig, PowerMap, TemperatureField, ThermalGrid};
+use r2d3_thermal::{Floorplan, GridConfig, PowerMap, SteadyResponse, ThermalGrid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -114,7 +118,10 @@ pub struct LifetimeConfig {
     pub nbti: NbtiParams,
     /// Forward-MTTF Monte-Carlo trials per recorded month.
     pub mttf_trials: usize,
-    /// Thermal grid configuration.
+    /// Thermal grid configuration. A lifetime run reads only the grid's
+    /// geometry and materials: its steady states come from an exact
+    /// [`SteadyResponse`], so `sor_omega`, `tolerance` and `max_sweeps`
+    /// do not change its output.
     pub grid: GridConfig,
     /// System-failure criterion for the forward-MTTF estimate.
     pub mttf_criterion: MttfCriterion,
@@ -260,8 +267,6 @@ struct ReplicaState {
     wear: Vec<NbtiState>,
     series: LifetimeSeries,
     hot_map_month0: Vec<f64>,
-    /// Previous month's converged field (warm start for the next solve).
-    warm: Option<TemperatureField>,
 }
 
 impl ReplicaState {
@@ -275,7 +280,6 @@ impl ReplicaState {
             wear: vec![NbtiState::new(); nstages],
             series: LifetimeSeries::default(),
             hot_map_month0: Vec::new(),
-            warm: None,
         }
     }
 }
@@ -283,9 +287,9 @@ impl ReplicaState {
 /// Portable mid-flight state of a lifetime run: the month-granular
 /// cursor (replica × month), the accumulated average over completed
 /// replicas, and the live replica's full state — RNG stream, fault map,
-/// per-stage wear, warm-start thermal field. Serialized with `f64`s as
-/// bit patterns, so save → load → continue is byte-identical to never
-/// having stopped (the [`snapshot`] determinism contract).
+/// per-stage wear. Serialized with `f64`s as bit patterns, so save →
+/// load → continue is byte-identical to never having stopped (the
+/// [`snapshot`] determinism contract).
 ///
 /// Produced by [`LifetimeSim::run_durable`]'s observer callback and
 /// persisted/recovered with [`save`](LifetimeRunState::save) /
@@ -309,7 +313,6 @@ pub struct LifetimeRunState {
     wear: Vec<f64>,
     series: LifetimeSeries,
     hot_map_month0: Vec<f64>,
-    warm_cells: Option<Vec<f64>>,
 }
 
 impl LifetimeRunState {
@@ -347,18 +350,11 @@ impl LifetimeRunState {
             wear: rs.wear.iter().map(NbtiState::vth_shift).collect(),
             series: rs.series.clone(),
             hot_map_month0: rs.hot_map_month0.clone(),
-            warm_cells: rs.warm.as_ref().map(|field| field.cells().to_vec()),
         }
     }
 
-    fn rebuild_replica(&self, grid: &ThermalGrid) -> Result<ReplicaState, SnapshotError> {
-        let warm = self
-            .warm_cells
-            .as_ref()
-            .map(|cells| TemperatureField::from_cells(grid, cells.clone()))
-            .transpose()
-            .map_err(|e| SnapshotError::ConfigMismatch(format!("warm-start field: {e}")))?;
-        Ok(ReplicaState {
+    fn rebuild_replica(&self) -> ReplicaState {
+        ReplicaState {
             replica: self.replica,
             month: self.month,
             rng: StdRng::from_state(self.rng),
@@ -366,8 +362,7 @@ impl LifetimeRunState {
             wear: self.wear.iter().map(|&v| NbtiState::from_vth_shift(v)).collect(),
             series: self.series.clone(),
             hot_map_month0: self.hot_map_month0.clone(),
-            warm,
-        })
+        }
     }
 
     /// Atomically persists the state at `path` (see [`snapshot`]).
@@ -434,15 +429,9 @@ impl LifetimeRunState {
         let _ = writeln!(out, "  \"series\": {},", series_to_json(&self.series));
         let _ = writeln!(
             out,
-            "  \"hot_map_month0\": {},",
+            "  \"hot_map_month0\": {}",
             snapshot::f64_slice_to_json(&self.hot_map_month0)
         );
-        match &self.warm_cells {
-            Some(c) => {
-                let _ = writeln!(out, "  \"warm_cells\": {}", snapshot::f64_slice_to_json(c));
-            }
-            None => out.push_str("  \"warm_cells\": null\n"),
-        }
         out.push_str("}\n");
         out
     }
@@ -463,7 +452,6 @@ impl LifetimeRunState {
             wear: floats(&v, "wear")?,
             series: series_from_json(v.field("series")?)?,
             hot_map_month0: floats(&v, "hot_map_month0")?,
-            warm_cells: v.opt("warm_cells").map(|_| floats(&v, "warm_cells")).transpose()?,
         })
     }
 }
@@ -559,7 +547,8 @@ impl LifetimeSim {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Thermal`] if a thermal solve fails.
+    /// Returns [`EngineError::Thermal`] if the grid's conductance matrix
+    /// is singular ([`SteadyResponse::new`]).
     pub fn run(&self) -> Result<LifetimeOutcome, EngineError> {
         // Oversubscribing a CPU-bound replica loop only adds context
         // switches, so the worker count is clamped to the host's
@@ -572,27 +561,25 @@ impl LifetimeSim {
     /// contiguous chunk of replicas.
     fn run_on(&self, workers: usize) -> Result<LifetimeOutcome, EngineError> {
         let cfg = &self.config;
-        let floorplan = Floorplan::opensparc_3d(cfg.layers);
-        let grid = ThermalGrid::new(&floorplan, &cfg.grid);
+        let response = self.thermal_response()?;
 
         let workers = workers.max(1).min(cfg.replicas.max(1));
-        let mut replicas: Vec<Result<ReplicaState, EngineError>> =
-            (0..cfg.replicas).map(|replica| Ok(ReplicaState::fresh(cfg, replica))).collect();
+        let mut replicas: Vec<ReplicaState> =
+            (0..cfg.replicas).map(|replica| ReplicaState::fresh(cfg, replica)).collect();
         if workers <= 1 {
-            self.step_chunk(&mut replicas, &grid);
+            self.step_chunk(&mut replicas, &response);
         } else {
             std::thread::scope(|scope| {
                 for chunk in replicas.chunks_mut(cfg.replicas.div_ceil(workers)) {
-                    let grid = &grid;
-                    scope.spawn(move || self.step_chunk(chunk, grid));
+                    let response = &response;
+                    scope.spawn(move || self.step_chunk(chunk, response));
                 }
             });
         }
 
         let mut acc = LifetimeSeries::default();
         let mut map = Vec::new();
-        for result in replicas {
-            let rs = result?;
+        for rs in replicas {
             accumulate(&mut acc, &rs.series, cfg.replicas as f64);
             if rs.replica == 0 {
                 map = rs.hot_map_month0;
@@ -608,20 +595,26 @@ impl LifetimeSim {
         })
     }
 
+    /// The grid's exact steady-state response, built once per run and
+    /// read by every replica.
+    fn thermal_response(&self) -> Result<SteadyResponse, EngineError> {
+        let cfg = &self.config;
+        let grid = ThermalGrid::new(&Floorplan::opensparc_3d(cfg.layers), &cfg.grid);
+        // Each tier lists its units in `Unit::ALL` order, so the grid's
+        // block order is `StageId::flat_index` order.
+        debug_assert_eq!(grid.unit_order(), Unit::ALL);
+        Ok(SteadyResponse::new(&grid)?)
+    }
+
     /// Steps every replica of `chunk` through all months, month by month.
     /// The replicas of a month read one stream of forward-MTTF draws, so
     /// each draw and its logarithm are computed once per chunk, not once
-    /// per replica. A replica whose step fails keeps the error and steps
-    /// no further.
-    fn step_chunk(&self, chunk: &mut [Result<ReplicaState, EngineError>], grid: &ThermalGrid) {
+    /// per replica.
+    fn step_chunk(&self, chunk: &mut [ReplicaState], response: &SteadyResponse) {
         for month in 0..self.config.months {
             let mut draws = ExpDraws::new(self.mttf_config(month).seed);
-            for slot in chunk.iter_mut() {
-                if let Ok(rs) = slot {
-                    if let Err(e) = self.step_month(rs, grid, &mut draws) {
-                        *slot = Err(e);
-                    }
-                }
+            for rs in chunk.iter_mut() {
+                self.step_month(rs, response, &mut draws);
             }
         }
     }
@@ -654,8 +647,7 @@ impl LifetimeSim {
         let cfg = &self.config;
         let digest = config_digest(cfg);
         let nstages = cfg.layers * Unit::COUNT;
-        let floorplan = Floorplan::opensparc_3d(cfg.layers);
-        let grid = ThermalGrid::new(&floorplan, &cfg.grid);
+        let response = self.thermal_response()?;
 
         let (mut cursor, mut live) = match resume {
             Some(st) => {
@@ -681,7 +673,7 @@ impl LifetimeSim {
                     ))
                     .into());
                 }
-                let rs = st.rebuild_replica(&grid)?;
+                let rs = st.rebuild_replica();
                 (DurableCursor { acc: st.acc, map: st.map }, rs)
             }
             None => (
@@ -693,7 +685,7 @@ impl LifetimeSim {
         loop {
             while live.month < cfg.months {
                 let mut draws = ExpDraws::new(self.mttf_config(live.month).seed);
-                self.step_month(&mut live, &grid, &mut draws)?;
+                self.step_month(&mut live, &response, &mut draws);
                 let portable = LifetimeRunState::capture(&cursor, &live, digest);
                 if observe(&portable)?.is_break() {
                     return Ok(None);
@@ -720,27 +712,24 @@ impl LifetimeSim {
     }
 
     /// Advances one replica by one month, reading forward-MTTF values from
-    /// `draws`, the month's stream. The whole monthly co-sim loop lives
+    /// `draws`, the month's stream, and returns the month's block
+    /// temperatures (°C, stage order). The whole monthly co-sim loop lives
     /// here so the parallel sweep ([`run`](LifetimeSim::run)) and the
     /// durable resumable runner ([`run_durable`](LifetimeSim::run_durable))
     /// execute the exact same code, which is what makes a resumed run
     /// byte-identical to an uninterrupted one.
-    #[allow(clippy::too_many_lines)]
     fn step_month(
         &self,
         rs: &mut ReplicaState,
-        grid: &ThermalGrid,
+        response: &SteadyResponse,
         draws: &mut ExpDraws,
-    ) -> Result<(), EngineError> {
+    ) -> Vec<f64> {
         let cfg = &self.config;
         let nstages = cfg.layers * Unit::COUNT;
         let nbti = NbtiModel::new(cfg.nbti);
         let rel = &cfg.reliability;
         let wanted = ((cfg.demand * cfg.pipelines as f64).round() as usize).max(1);
         let freq_factor = self.frequency_factor();
-        let power_factor = self.power_factor();
-        let unit_w = self.physical.unit_powers_w();
-        let uncore_w = self.physical.uncore_power_w();
         let month = rs.month;
 
         // --- formation + duty assignment ---------------------------
@@ -752,14 +741,15 @@ impl LifetimeSim {
         let active = formable.min(wanted);
         let duty = self.assign_duty(&rs.alive, active);
 
-        // --- power map + thermal solve ------------------------------
-        let power = self.power_map(&duty, &unit_w, uncore_w, power_factor, cfg.activity_weight);
-        let (temps, field) = self.solve_temps(grid, &power, rs.warm.as_ref())?;
-        rs.warm = Some(field);
+        // --- power map + steady-state temperatures -----------------
+        let temps = response.block_temps(&self.power_map(&duty, cfg.activity_weight));
         if month == 0 {
-            // The Fig. 6 map leaves out the workload's activity weight.
-            let unweighted = self.power_map(&duty, &unit_w, uncore_w, power_factor, 1.0);
-            rs.hot_map_month0 = hottest_layer_map(grid, &unweighted)?;
+            // The Fig. 6 map: the hottest layer's cells, leaving out the
+            // workload's activity weight.
+            let field = response.field(&self.power_map(&duty, 1.0));
+            let per = cfg.grid.nx * cfg.grid.ny;
+            let hot = field.hottest_layer();
+            rs.hot_map_month0 = field.cells()[hot * per..(hot + 1) * per].to_vec();
         }
 
         // --- aging ---------------------------------------------------
@@ -811,7 +801,7 @@ impl LifetimeSim {
             }
         }
         rs.month += 1;
-        Ok(())
+        temps
     }
 
     /// Per-stage duty assignment for the month, per policy.
@@ -910,38 +900,13 @@ impl LifetimeSim {
         duty
     }
 
-    /// Thermal solve of a month's power map, warm-started from the
-    /// replica's previous field: per-stage block temperatures plus the
-    /// full field (the next month's warm start).
-    fn solve_temps(
-        &self,
-        grid: &ThermalGrid,
-        power: &PowerMap,
-        warm: Option<&TemperatureField>,
-    ) -> Result<(Vec<f64>, TemperatureField), EngineError> {
-        let outcome = grid.steady_state_warm(power, warm).map_err(EngineError::Thermal)?;
-        let cfg = &self.config;
-        let mut temps = vec![0.0; cfg.layers * Unit::COUNT];
-        for s in StageId::all(cfg.layers) {
-            temps[s.flat_index()] = outcome
-                .field
-                .block_avg(r2d3_thermal::BlockId { layer: s.layer, unit: s.unit })
-                .map_err(EngineError::Thermal)?;
-        }
-        Ok((temps, outcome.field))
-    }
-
     /// Per-block power of a duty vector, with switching activity scaled
     /// by `activity_weight`.
-    fn power_map(
-        &self,
-        duty: &[f64],
-        unit_w: &[f64; 5],
-        uncore_w: f64,
-        power_factor: f64,
-        activity_weight: f64,
-    ) -> PowerMap {
+    fn power_map(&self, duty: &[f64], activity_weight: f64) -> PowerMap {
         let cfg = &self.config;
+        let unit_w = self.physical.unit_powers_w();
+        let uncore_w = self.physical.uncore_power_w();
+        let power_factor = self.power_factor();
         let fp = Floorplan::opensparc_3d(cfg.layers);
         let mut p = PowerMap::new(&fp);
         for s in StageId::all(cfg.layers) {
@@ -1076,14 +1041,6 @@ fn accumulate(acc: &mut LifetimeSeries, one: &LifetimeSeries, replicas: f64) {
         acc.active_pipelines[i] += one.active_pipelines[i] * w;
         acc.hottest_layer_temp[i] += one.hottest_layer_temp[i] * w;
     }
-}
-
-/// Solves the month-0 thermal map and extracts the hottest layer's cells.
-fn hottest_layer_map(grid: &ThermalGrid, power: &PowerMap) -> Result<Vec<f64>, EngineError> {
-    let field = grid.steady_state(power)?;
-    let hot = field.hottest_layer();
-    let per = grid.nx() * grid.ny();
-    Ok(field.cells()[hot * per..(hot + 1) * per].to_vec())
 }
 
 #[cfg(test)]
@@ -1234,8 +1191,8 @@ mod tests {
         assert!(tail < head * 0.95, "MTTF should decline: {head:.1} -> {tail:.1}");
     }
 
-    /// Small config with enough fault pressure that RNG state, fault
-    /// maps and warm-start fields all matter for byte-identity.
+    /// Small config with enough fault pressure that RNG state and fault
+    /// maps matter for byte-identity.
     fn durable_config() -> LifetimeConfig {
         let mut cfg = quick_config(PolicyKind::Pro);
         cfg.months = 10;
@@ -1267,7 +1224,7 @@ mod tests {
         LifetimeSim::new(cfg)
             .run_durable(None, |st| {
                 // Month 7 of replica 1: RNG advanced, faults possible,
-                // warm field present, replica 0 already accumulated.
+                // replica 0 already accumulated.
                 if st.replica() == 1 && st.month() == 7 {
                     captured = Some(st.clone());
                     return Ok(std::ops::ControlFlow::Break(()));
@@ -1280,6 +1237,68 @@ mod tests {
         let reloaded = LifetimeRunState::load(&path).unwrap();
         assert_eq!(original, reloaded, "save -> load must be lossless");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_format_3_lifetime_snapshot_is_refused() {
+        // A v3 body's config digest matches this run, so if it loaded, the
+        // run would resume SOR-solved months with exact ones.
+        let path = std::env::temp_dir().join(format!("r2d3-lifetime-v3-{}", std::process::id()));
+        let mut captured = None;
+        LifetimeSim::new(durable_config())
+            .run_durable(None, |st| {
+                captured = Some(st.clone());
+                Ok(std::ops::ControlFlow::Break(()))
+            })
+            .unwrap();
+        captured.expect("one month ran").save(&path).unwrap();
+        let v3 = std::fs::read_to_string(&path).unwrap().replacen(
+            &format!("{} {} ", snapshot::SNAPSHOT_MAGIC, snapshot::SNAPSHOT_VERSION),
+            &format!("{} 3 ", snapshot::SNAPSHOT_MAGIC),
+            1,
+        );
+        std::fs::write(&path, v3).unwrap();
+        assert!(matches!(
+            LifetimeRunState::load(&path),
+            Err(SnapshotError::UnsupportedMigration { found: 3, oldest: 4 })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn block_temperatures_match_a_converged_sor_solve_every_month() {
+        // Pro under fault pressure: each fault moves duty between stages,
+        // so the months cover many different power maps.
+        let mut cfg = durable_config();
+        cfg.months = 24;
+        let sim = LifetimeSim::new(cfg.clone());
+        let response = sim.thermal_response().unwrap();
+        let converged = GridConfig { tolerance: 1e-11, max_sweeps: 1_000_000, ..cfg.grid };
+        let grid = ThermalGrid::new(&Floorplan::opensparc_3d(cfg.layers), &converged);
+        let wanted = ((cfg.demand * cfg.pipelines as f64).round() as usize).max(1);
+        let mut faults = 0;
+        for replica in 0..cfg.replicas {
+            let mut rs = ReplicaState::fresh(&cfg, replica);
+            for month in 0..cfg.months {
+                let formable = stage_level_formable(cfg.layers, |s| rs.alive[s.flat_index()]);
+                let duty = sim.assign_duty(&rs.alive, formable.min(wanted));
+                let sor = grid.steady_state(&sim.power_map(&duty, cfg.activity_weight)).unwrap();
+                let mut draws = ExpDraws::new(sim.mttf_config(month).seed);
+                let temps = sim.step_month(&mut rs, &response, &mut draws);
+                for s in StageId::all(cfg.layers) {
+                    let want = sor
+                        .block_avg(r2d3_thermal::BlockId { layer: s.layer, unit: s.unit })
+                        .unwrap();
+                    let got = temps[s.flat_index()];
+                    assert!(
+                        (got - want).abs() < 1e-8,
+                        "replica {replica} month {month} {s:?}: {got} vs {want}"
+                    );
+                }
+            }
+            faults += rs.alive.iter().filter(|&&alive| !alive).count();
+        }
+        assert!(faults > 0, "the run must take faults");
     }
 
     #[test]

@@ -55,12 +55,18 @@ use std::path::Path;
 ///   match a v3 run: it is refused (see [`read_verified`]). The
 ///   `campaign`, `shard` and `job` bodies are unchanged and migrate as
 ///   they are.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// * **4** — the `lifetime` body drops `warm_cells`: a run solves its
+///   steady states exactly, from one response per run, so no replica
+///   carries a thermal field. A v3 `lifetime` body is refused (see
+///   [`read_verified`]): its config digest matches a v4 run, and resuming
+///   it would follow SOR-solved months with exact ones. The `campaign`,
+///   `shard` and `job` bodies are unchanged and migrate as they are.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Oldest snapshot version [`read_verified`] can still migrate forward.
 /// The window is exactly one version (N−1): anything older is refused
 /// with [`SnapshotError::UnsupportedMigration`] instead of a guess.
-pub const OLDEST_MIGRATABLE_VERSION: u32 = 2;
+pub const OLDEST_MIGRATABLE_VERSION: u32 = 3;
 
 /// Magic token opening every snapshot header.
 pub const SNAPSHOT_MAGIC: &str = "R2D3SNAP";
@@ -268,12 +274,13 @@ fn migrate(version: u32, kind: &str, mut body: String) -> Result<String, Snapsho
     let mut v = version;
     while v < SNAPSHOT_VERSION {
         body = match v {
-            // v2 → v3: only the `lifetime` body changed, and a v2 one
-            // carries a config digest no v3 run produces, so it could
-            // never resume. Refuse it here rather than at the digest
-            // check: a checkpoint that fails to load is discarded and its
-            // unit restarted, one that loads and mismatches fails the job.
-            2 => {
+            // v3 → v4: only the `lifetime` body changed. A v3 one carries
+            // the digest of a config a v4 run shares, but its months were
+            // solved by SOR to a tolerance and a v4 run's months are
+            // exact, so a resumed run would match neither. Refuse it here
+            // rather than let it resume: a checkpoint that fails to load
+            // is discarded and its unit restarted.
+            3 => {
                 if kind == "lifetime" {
                     return Err(SnapshotError::UnsupportedMigration {
                         found: version,
@@ -433,9 +440,12 @@ mod tests {
         let previous = SNAPSHOT_VERSION - 1;
         assert_eq!(previous, OLDEST_MIGRATABLE_VERSION, "the window is one version");
         let body = r#"{"cursor": 3}"#;
+        // A v3 lifetime body as format 3 wrote it, warm-start field and all.
+        let lifetime = r#"{"replica": 0, "month": 5, "warm_cells": ["4046800000000000"]}"#;
         for (kind, migrates) in
             [("campaign", true), ("shard", true), ("job", true), ("lifetime", false)]
         {
+            let body = if kind == "lifetime" { lifetime } else { body };
             let path = tmp_path(&format!("migrate-{kind}"));
             write_atomic(&path, kind, body.as_bytes()).unwrap();
             // Rewrite the header as the previous version; the digest
@@ -459,22 +469,28 @@ mod tests {
 
     #[test]
     fn pre_window_versions_are_unsupported() {
-        let path = tmp_path("migrate-v0");
-        write_atomic(&path, "campaign", b"{}").unwrap();
-        let v0 = fs::read_to_string(&path).unwrap().replacen(
-            &format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "),
-            &format!("{SNAPSHOT_MAGIC} 0 "),
-            1,
-        );
-        fs::write(&path, v0).unwrap();
-        assert!(matches!(
-            read_verified(&path, "campaign"),
-            Err(SnapshotError::UnsupportedMigration {
-                found: 0,
-                oldest: OLDEST_MIGRATABLE_VERSION
-            })
-        ));
-        fs::remove_file(&path).unwrap();
+        // Every kind, down to version 0: the v2 `campaign`, `shard` and
+        // `job` bodies that migrated into format 3 are outside the window
+        // of format 4.
+        for kind in ["campaign", "shard", "job", "lifetime"] {
+            for version in 0..OLDEST_MIGRATABLE_VERSION {
+                let path = tmp_path(&format!("migrate-v{version}-{kind}"));
+                write_atomic(&path, kind, b"{}").unwrap();
+                let old = fs::read_to_string(&path).unwrap().replacen(
+                    &format!("{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "),
+                    &format!("{SNAPSHOT_MAGIC} {version} "),
+                    1,
+                );
+                fs::write(&path, old).unwrap();
+                match read_verified(&path, kind) {
+                    Err(SnapshotError::UnsupportedMigration { found, oldest }) => {
+                        assert_eq!((found, oldest), (version, OLDEST_MIGRATABLE_VERSION), "{kind}");
+                    }
+                    other => panic!("{kind} v{version}: unexpected {other:?}"),
+                }
+                fs::remove_file(&path).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! boundary on one face. Block powers (unit power × activity) are spread
 //! over the cells each block covers, and a steady-state (SOR) or
 //! transient (backward-Euler) solve produces per-block temperatures.
+//! Where many steady states of one grid are needed, [`SteadyResponse`]
+//! solves the network once, exactly, for each block's unit power, and
+//! every later steady state is a matrix-vector product.
 //!
 //! The key physical behaviour the reproduction relies on: *layers far
 //! from the heat sink run hotter*, which is what makes R2D3-Pro's
@@ -43,12 +46,14 @@ pub mod floorplan;
 pub mod grid;
 pub mod map;
 pub mod power;
+pub mod response;
 pub mod solver;
 
 pub use floorplan::{BlockId, Floorplan, Rect};
 pub use grid::{GridConfig, MaterialParams, ThermalGrid};
 pub use map::TemperatureField;
 pub use power::PowerMap;
+pub use response::SteadyResponse;
 pub use solver::{CyclingProfile, SolveOutcome};
 
 use std::fmt;
@@ -71,6 +76,12 @@ pub enum ThermalError {
         /// Number of layers in the floorplan.
         layers: usize,
     },
+    /// The steady-state conductance matrix is not positive definite: no
+    /// heat reaches the sink, or a conductance is not finite.
+    Singular {
+        /// Cell whose pivot failed.
+        cell: usize,
+    },
     /// A warm-start field was built for a different grid.
     CellCountMismatch {
         /// Cells in this grid.
@@ -88,6 +99,9 @@ impl fmt::Display for ThermalError {
             }
             ThermalError::UnknownBlock { layer, layers } => {
                 write!(f, "layer {layer} outside floorplan with {layers} layers")
+            }
+            ThermalError::Singular { cell } => {
+                write!(f, "conductance matrix is singular at cell {cell} (no path to the sink)")
             }
             ThermalError::CellCountMismatch { expected, got } => {
                 write!(f, "warm-start field has {got} cells, grid has {expected}")

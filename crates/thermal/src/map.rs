@@ -33,23 +33,14 @@ impl TemperatureField {
         }
     }
 
-    /// Rebuilds a field from a grid and raw per-cell temperatures, e.g.
-    /// when restoring a run snapshot that captured [`cells`](Self::cells).
-    /// The grid must be the one the field was originally solved on; the
-    /// cell count is checked, everything else (block coverage, unit
-    /// order) is re-derived from the grid.
-    pub fn from_cells(grid: &ThermalGrid, cells: Vec<f64>) -> Result<Self, ThermalError> {
-        let expected = grid.nx() * grid.ny() * grid.layers();
-        if cells.len() != expected {
-            return Err(ThermalError::CellCountMismatch { expected, got: cells.len() });
-        }
-        Ok(TemperatureField::new(grid, cells))
-    }
-
     /// Raw per-cell temperatures (layer-major, row-major within a layer).
     #[must_use]
     pub fn cells(&self) -> &[f64] {
         &self.cells
+    }
+
+    pub(crate) fn cells_mut(&mut self) -> &mut [f64] {
+        &mut self.cells
     }
 
     /// Number of tiers.
