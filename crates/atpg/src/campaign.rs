@@ -3,7 +3,7 @@
 use crate::collapse::{collapse_active, FaultClasses};
 use crate::fault::Fault;
 use crate::observe::structurally_observable;
-use r2d3_netlist::{pack_blocks, FaultCone, FaultSim, Netlist, SimBlock, SimScratch, WideScratch};
+use r2d3_netlist::{pack_blocks, FaultSim, NetId, Netlist, SimBlock, SimScratch, WideScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,11 +16,6 @@ const BLOCK_BATCH: usize = 32;
 /// a full cache line of lanes per net, matching the SIMD kernels'
 /// widest (AVX-512) chunk.
 const LANE_GROUP: usize = 8;
-
-/// Faults simulated per 2D tile: the inner fault loop re-walks the same
-/// lane group's good values while they are hot in cache, and faults are
-/// sorted by site first so tile members have overlapping cones.
-const FAULT_TILE: usize = 64;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,18 +196,21 @@ fn pattern_blocks(netlist: &Netlist, blocks: usize, seed: u64) -> Vec<Vec<u64>> 
 /// first-detection pattern indices, and applied-pattern counts are
 /// byte-identical to simulating every fault.
 ///
-/// Representatives are fault-simulated incrementally ([`FaultSim`]):
-/// pattern blocks are processed in batches whose good-value vectors are
-/// cached and fused into 512-lane groups of eight blocks
-/// ([`pack_blocks`]), then walked with the engine's runtime-dispatched
-/// SIMD kernel. Work is tiled in two dimensions — lane group outer,
-/// faults (sorted by site, so their cones overlap) inner — so each
-/// group's good values stay cache-hot across a whole fault tile.
-/// Detection accounting stays block-exact: within a group the earliest
-/// block with a nonzero detection word wins, and its `trailing_zeros`
-/// picks the lane, so classifications, first-detection pattern indices,
-/// and applied-pattern counts are identical to walking the 64-lane
-/// blocks one at a time. Detected faults are dropped from later batches.
+/// Representatives are fault-simulated incrementally ([`FaultSim`]),
+/// one walk per **fanout-free-region stem** rather than one per fault:
+/// a fault's effect leaves its region only through the stem, so each
+/// fault's lanes are narrowed to those on which it flips the stem
+/// ([`FaultSim::sensitize`]), and one walk seeded at the stem with the
+/// union of its faults' lanes detects each of them exactly on its own
+/// (see `simulate_batch`). Pattern blocks are processed in batches
+/// whose good-value vectors are cached and fused into 512-lane groups
+/// of eight blocks ([`pack_blocks`]), walked with the engine's
+/// runtime-dispatched SIMD kernel. Detection accounting stays
+/// block-exact: within a group the earliest block with a nonzero
+/// detection word wins, and its `trailing_zeros` picks the lane, so
+/// classifications, first-detection pattern indices, and applied-pattern
+/// counts are identical to walking the 64-lane blocks one at a time.
+/// Detected faults are dropped from later batches.
 ///
 /// Results are bit-identical to [`run_campaign_reference`] for any seed
 /// and any thread count.
@@ -238,15 +236,16 @@ pub fn run_campaign(
     let mut remaining = reps;
 
     let engine = FaultSim::new(netlist);
+    // Faults of one stem sit together (and a site's two polarities side
+    // by side), so each stem's turn is one contiguous run. Dropping
+    // detected faults keeps the order.
+    remaining.sort_unstable_by_key(|&fi| {
+        let f = faults[fi];
+        (engine.stem(f.net), f.net, f.stuck)
+    });
     let inputs = pattern_blocks(netlist, blocks, config.seed);
     let threads = config.threads.max(1);
     let mut blocks_applied = 0usize;
-
-    // With cone bitsets available, workers walk each fault's cone row in
-    // place (`eval_stuck_detect_wide`) — no cones are ever materialized.
-    // On netlists too large for the bitset budget, workers fall back to
-    // deriving cones per batch.
-    let use_rows = engine.cheap_cones();
     let mut goods: Vec<Vec<u64>> = Vec::new();
 
     for batch_start in (0..blocks).step_by(BLOCK_BATCH) {
@@ -279,24 +278,15 @@ pub fn run_campaign(
             .collect();
 
         let results = if threads == 1 || remaining.len() < 128 {
-            simulate_batch(&engine, faults, &remaining, &goods, &groups, batch_start, use_rows)
+            simulate_batch(&engine, faults, &remaining, &goods, &groups, batch_start)
         } else {
-            let chunk_len = remaining.len().div_ceil(threads);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = remaining
-                    .chunks(chunk_len)
+                let handles: Vec<_> = stem_chunks(&engine, faults, &remaining, threads)
+                    .into_iter()
                     .map(|chunk| {
                         let (engine, goods, groups) = (&engine, &goods, &groups);
                         scope.spawn(move || {
-                            simulate_batch(
-                                engine,
-                                faults,
-                                chunk,
-                                goods,
-                                groups,
-                                batch_start,
-                                use_rows,
-                            )
+                            simulate_batch(engine, faults, chunk, goods, groups, batch_start)
                         })
                     })
                     .collect();
@@ -330,23 +320,65 @@ pub fn run_campaign(
     CampaignOutcome { faults: faults.to_vec(), statuses, patterns_applied: blocks_applied * 64 }
 }
 
-/// Simulates each fault in `chunk` over one batch of cached 512-lane
-/// good-value groups. Returns `(fault_index, detection, last block
-/// reached + 1)` per fault, parallel to `chunk`; the cone and scratch
-/// buffers are reused across faults.
+/// Splits the stem-sorted `remaining` into at most `parts` contiguous
+/// chunks of about equal length, each cut moved forward to the next
+/// stem boundary, so every worker owns whole stems.
+fn stem_chunks<'r>(
+    engine: &FaultSim,
+    faults: &[Fault],
+    remaining: &'r [usize],
+    parts: usize,
+) -> Vec<&'r [usize]> {
+    let target = remaining.len().div_ceil(parts);
+    let mut chunks = Vec::with_capacity(parts);
+    let mut rest = remaining;
+    while !rest.is_empty() {
+        let mut cut = target.min(rest.len());
+        let stem = engine.stem(faults[rest[cut - 1]].net);
+        while cut < rest.len() && engine.stem(faults[rest[cut]].net) == stem {
+            cut += 1;
+        }
+        let (head, tail) = rest.split_at(cut);
+        chunks.push(head);
+        rest = tail;
+    }
+    chunks
+}
+
+/// One fault's progress through a batch: its index, its detection (if
+/// any) and the last block it reached plus one.
+type Progress = (usize, Option<FaultStatus>, usize);
+
+/// Simulates the faults of `chunk` (stem-sorted, whole stems) over one
+/// batch of cached good values. Returns one [`Progress`] per fault,
+/// parallel to `chunk`.
 ///
-/// Work is tiled in two dimensions: faults are sorted by site (so tile
-/// members have overlapping cones), and for each [`FAULT_TILE`]-sized
-/// tile the lane groups run *outer* and the faults *inner* — a group's
-/// good values are walked by the whole tile while they are cache-hot.
-/// This only reorders independent (fault, group) evaluations, so the
-/// accounting below yields exactly what the fault-outer loop would:
-/// a fault detected in group `g` skips groups after `g` (its entry is
-/// frozen once `detected` is set), and within a group the *earliest*
-/// block with a nonzero detection word is the detecting block, with
-/// `trailing_zeros` picking the lane. Only that block plus its
+/// A fault's walk is shared by its whole fanout-free region. A stuck-at
+/// fault differs from the good circuit only on its excitation lanes,
+/// where it flips its site. Every net between the site and its stem has
+/// one reader and is not an output, so the flip reaches the stem
+/// exactly on the lanes where each path gate passes it, and reaches the
+/// outputs only through the stem. The fault's detect word is therefore
+/// `mask & obs`: `mask` its excitation lanes ANDed with the path gates'
+/// Boolean differences ([`FaultSim::sensitize`]), `obs` the detect word
+/// of one walk seeded at the stem with the union of its pending faults'
+/// masks. Lanes never interact, so each fault's word is exact on its
+/// own lanes.
+///
+/// The narrow probe walks the batch's first block once per stem, and
+/// stops once every fault's lowest masked lane is observed (the
+/// excitation freeze: each word is a subset of its mask, so its verdict
+/// and first lane are pinned). The probe block *is* the batch's first
+/// block and the wide groups then start at the second, so a hit pins
+/// exactly the pattern a block-by-block walk would have found, and a
+/// miss still charges the probe block to the accounting. Later batches
+/// hold hard-to-detect survivors and skip the probe. Each lane group
+/// then walks once per stem whose union is nonzero on a real block; a
+/// fault detected in group `g` skips later groups, and within a group
+/// the *earliest* block with a nonzero word is the detecting block, with
+/// `trailing_zeros` picking the lane. Only that block and its
 /// predecessors count as applied; padded lanes of a trailing partial
-/// group (`real < LANE_GROUP`) are ignored entirely.
+/// group (`real < LANE_GROUP`) are never seeded.
 fn simulate_batch(
     engine: &FaultSim,
     faults: &[Fault],
@@ -354,96 +386,47 @@ fn simulate_batch(
     goods: &[Vec<u64>],
     groups: &[(Vec<SimBlock<LANE_GROUP>>, usize)],
     batch_start: usize,
-    use_rows: bool,
-) -> Vec<(usize, Option<FaultStatus>, usize)> {
-    // The probe only runs on the campaign's first batch; later batches
-    // hold hard-to-detect survivors and go straight to the wide groups
-    // (mirrors the group slicing in `run_campaign`).
+) -> Vec<Progress> {
+    let mut results: Vec<Progress> = chunk.iter().map(|&fi| (fi, None, batch_start)).collect();
+    // Mirrors the group slicing in `run_campaign`.
     let probe = batch_start == 0;
-    let mut cone = FaultCone::new();
-    let mut narrow = SimScratch::new();
-    let mut scratch = WideScratch::<LANE_GROUP>::new();
-
-    // Results are kept parallel to `chunk` (callers rely on that order);
-    // the tile traversal uses a site-sorted view of the indices.
-    let mut results: Vec<(usize, Option<FaultStatus>, usize)> =
-        chunk.iter().map(|&fi| (fi, None, batch_start)).collect();
-    let mut order: Vec<usize> = (0..chunk.len()).collect();
-    order.sort_by_key(|&ri| {
-        let f = faults[chunk[ri]];
-        (f.net.index(), f.stuck)
-    });
-
-    for tile in order.chunks(FAULT_TILE) {
-        // Narrow first-block probe: most detectable faults are caught in
-        // the campaign's very first 64-pattern block, so a single-block
-        // narrow walk here — one *flip* walk per fault site, covering
-        // both polarities — spares them the full `LANE_GROUP`-wide
-        // group walk below. The probe block *is* the
-        // batch's first block and the wide groups then start at the
-        // second, so a hit pins exactly the pattern a block-by-block
-        // walk would have found (earliest block wins, `trailing_zeros`
-        // lane), and a miss still charges the probe block to the
-        // accounting before the group loop takes over. Later batches
-        // (`probe == false`) skip straight to the groups: their
-        // survivors rarely die in any single block, so a narrow walk
-        // there is almost pure overhead.
-        if probe {
-            let consume = |results: &mut [(usize, Option<FaultStatus>, usize)],
-                           ri: usize,
-                           word: u64| {
-                let (_, detected, blocks_used) = &mut results[ri];
+    if probe {
+        let good = &goods[0];
+        let mut narrow = SimScratch::new();
+        for_each_stem(
+            engine,
+            faults,
+            &mut results,
+            good.as_chunks::<1>().0,
+            1,
+            |stem, union, masks| {
+                let exit = masks.iter().fold(0, |e, (_, [m])| e | (m & m.wrapping_neg()));
+                engine.seeded_walk(good, stem, union[0], exit, &mut narrow);
+                [engine.detect_word(good, &narrow)]
+            },
+            |(_, detected, blocks_used), [word]| {
                 *blocks_used = batch_start + 1;
                 if word != 0 {
                     let lane = word.trailing_zeros() as usize;
                     *detected = Some(FaultStatus::Detected { pattern: batch_start * 64 + lane });
                 }
-            };
-            let mut i = 0;
-            while i < tile.len() {
-                let ri = tile[i];
-                let fault = faults[results[ri].0];
-                // Site-sorted order puts a net's two polarities next to
-                // each other; one flip walk classifies both (each
-                // polarity's detect word is the flip word masked by its
-                // excitation lanes — bit-identical to a dedicated walk).
-                if let Some(&rj) = tile.get(i + 1) {
-                    let other = faults[results[rj].0];
-                    if other.net == fault.net {
-                        engine.eval_flip_detect(&goods[0], fault.net, &mut narrow);
-                        let word = engine.detect_word(&goods[0], &narrow);
-                        let g = goods[0][fault.net.index()];
-                        consume(&mut results, ri, word & if fault.stuck { !g } else { g });
-                        consume(&mut results, rj, word & if other.stuck { !g } else { g });
-                        i += 2;
-                        continue;
-                    }
-                }
-                engine.eval_stuck_detect(&goods[0], (fault.net, fault.stuck), &mut narrow);
-                let word = engine.detect_word(&goods[0], &narrow);
-                consume(&mut results, ri, word);
-                i += 1;
-            }
-        }
-        for (gi, (good, real)) in groups.iter().enumerate() {
-            let group_start = batch_start + usize::from(probe) + gi * LANE_GROUP;
-            for &ri in tile {
-                let (fi, detected, blocks_used) = &mut results[ri];
-                if detected.is_some() {
-                    continue;
-                }
-                let fault = faults[*fi];
-                if use_rows {
-                    engine.eval_stuck_detect_wide(good, (fault.net, fault.stuck), &mut scratch);
-                } else {
-                    // Cones are cheap to re-derive relative to the walk
-                    // itself on the (large) netlists that overflow the
-                    // bitset budget, and the stamp cache makes repeats
-                    // for the same site nearly free.
-                    engine.cone_into(fault.net, &mut cone);
-                    engine.eval_stuck_wide(good, (fault.net, fault.stuck), &cone, &mut scratch);
-                }
-                let words = scratch.detect_words();
+            },
+        );
+    }
+    let mut wide = WideScratch::<LANE_GROUP>::new();
+    for (gi, (good, real)) in groups.iter().enumerate() {
+        let group_start = batch_start + usize::from(probe) + gi * LANE_GROUP;
+        for_each_stem(
+            engine,
+            faults,
+            &mut results,
+            good,
+            *real,
+            |stem, union, _| {
+                engine.seeded_walk_wide(good, stem, union, &mut wide);
+                wide.detect_words()
+            },
+            |(_, detected, blocks_used), words| {
                 if let Some(g) = (0..*real).find(|&g| words[g] != 0) {
                     let lane = words[g].trailing_zeros() as usize;
                     *detected =
@@ -452,10 +435,78 @@ fn simulate_batch(
                 } else {
                     *blocks_used = group_start + real;
                 }
-            }
-        }
+            },
+        );
     }
     results
+}
+
+/// Takes the undetected faults of `results` one stem at a time over the
+/// good values of `W` blocks, the first `real` of them genuine. Builds
+/// each fault's stem lanes (its index in `results` and mask) into a
+/// buffer reused from stem to stem, calls `walk(stem, union, masks)`
+/// once if their union is nonzero, and hands every fault its detect
+/// words, `mask & obs`, to `classify`.
+fn for_each_stem<const W: usize>(
+    engine: &FaultSim,
+    faults: &[Fault],
+    results: &mut [Progress],
+    good: &[SimBlock<W>],
+    real: usize,
+    mut walk: impl FnMut(NetId, SimBlock<W>, &[(usize, SimBlock<W>)]) -> SimBlock<W>,
+    mut classify: impl FnMut(&mut Progress, SimBlock<W>),
+) {
+    let mut settle =
+        |stem: NetId, masks: &mut Vec<(usize, SimBlock<W>)>, results: &mut [Progress]| {
+            let mut union = [0u64; W];
+            for (_, mask) in masks.iter() {
+                for (u, m) in union.iter_mut().zip(mask) {
+                    *u |= m;
+                }
+            }
+            let obs = if union == [0; W] { [0; W] } else { walk(stem, union, masks) };
+            for (i, mask) in masks.drain(..) {
+                let mut words = mask;
+                for (w, o) in words.iter_mut().zip(obs) {
+                    *w &= o;
+                }
+                classify(&mut results[i], words);
+            }
+        };
+    let mut masks = Vec::new();
+    // Lanes the fault at `site.0` flips the stem `site.2` on, excited or not.
+    let mut site: Option<(NetId, SimBlock<W>, NetId)> = None;
+    for i in 0..results.len() {
+        let (fi, detected, _) = results[i];
+        if detected.is_some() {
+            continue;
+        }
+        let fault = faults[fi];
+        let path = match site {
+            Some((net, path, _)) if net == fault.net => path,
+            _ => {
+                let mut path = [0u64; W];
+                path[..real].fill(!0);
+                let stem = engine.sensitize(good, fault.net, &mut path);
+                if let Some((_, _, prev)) = site {
+                    if prev != stem {
+                        settle(prev, &mut masks, results);
+                    }
+                }
+                site = Some((fault.net, path, stem));
+                path
+            }
+        };
+        let value = good[fault.net.index()];
+        let mut mask = path;
+        for (m, v) in mask.iter_mut().zip(value) {
+            *m &= if fault.stuck { !v } else { v };
+        }
+        masks.push((i, mask));
+    }
+    if let Some((_, _, stem)) = site {
+        settle(stem, &mut masks, results);
+    }
 }
 
 /// Reference campaign: full-netlist re-evaluation per fault per block via
@@ -533,7 +584,8 @@ pub fn run_campaign_rewritten(
 mod tests {
     use super::*;
     use crate::fault::all_faults;
-    use r2d3_netlist::NetlistBuilder;
+    use r2d3_netlist::stages::{all_stage_netlists, StageSizing};
+    use r2d3_netlist::{compose_chain_with, ComposeOptions, NetlistBuilder};
 
     fn parity4() -> Netlist {
         let mut b = NetlistBuilder::new();
@@ -612,12 +664,25 @@ mod tests {
 
     #[test]
     fn threaded_matches_serial() {
-        let nl = parity4();
-        let faults = all_faults(&nl);
-        let serial =
-            run_campaign(&nl, &faults, &CampaignConfig { threads: 1, ..Default::default() });
-        let par = run_campaign(&nl, &faults, &CampaignConfig { threads: 4, ..Default::default() });
-        assert_eq!(serial.statuses(), par.statuses());
+        // Enough representatives to pass the serial cutoff: a stage
+        // netlist and the composed core-level chain at reduced sizing,
+        // over two batches, so workers split stems in the probe batch
+        // and in a later one.
+        let sizing = StageSizing { gates_per_mm2: 4_000.0, ..Default::default() };
+        let stages = all_stage_netlists(&sizing);
+        let netlists: Vec<&Netlist> = stages.iter().map(|s| s.netlist()).collect();
+        let (chain, _) = compose_chain_with(&netlists, &ComposeOptions::core_level()).unwrap();
+        for nl in [stages[1].netlist(), &chain] {
+            let faults = all_faults(nl);
+            let config = |threads| CampaignConfig { max_patterns: 4_096, seed: 7, threads };
+            let serial = run_campaign(nl, &faults, &config(1));
+            assert!(serial.counts().1 > 0, "some faults survive the first batch");
+            for threads in [2, 3, 8] {
+                let par = run_campaign(nl, &faults, &config(threads));
+                assert_eq!(serial.statuses(), par.statuses(), "{threads} threads");
+                assert_eq!(serial.patterns_applied(), par.patterns_applied(), "{threads} threads");
+            }
+        }
     }
 
     #[test]

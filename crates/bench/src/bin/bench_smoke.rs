@@ -4,7 +4,9 @@
 //! - **Campaign**: the incremental collapsed/SIMD engine must classify
 //!   every fault identically to the full-re-evaluation oracle (counts,
 //!   statuses, applied patterns) and must not regress below a
-//!   conservative speedup floor on the reduced budget.
+//!   conservative speedup floor on the reduced budget. The identity
+//!   check also runs on the composed core-level chain, at reduced
+//!   sizing and a budget that ends in a partial lane group.
 //! - **Lifetime**: the replica-parallel Monte-Carlo must produce a
 //!   bit-identical averaged series at 1 and 2 worker threads (each
 //!   replica has its own seed and thermal warm start, and replicas are
@@ -20,8 +22,8 @@ use r2d3_core::lifetime::{LifetimeConfig, LifetimeSim};
 use r2d3_core::policy::PolicyKind;
 use r2d3_isa::kernels::KernelKind;
 use r2d3_isa::Unit;
-use r2d3_netlist::stages::{stage_netlist, StageSizing};
-use r2d3_netlist::FaultSim;
+use r2d3_netlist::stages::{all_stage_netlists, stage_netlist, StageSizing};
+use r2d3_netlist::{compose_chain_with, ComposeOptions, FaultSim};
 use r2d3_thermal::GridConfig;
 use std::time::Instant;
 
@@ -78,6 +80,39 @@ fn campaign_smoke() {
     );
 }
 
+/// Identity gate on the composed core-level chain, whose fanout-free
+/// regions are deep enough that most faults share a stem walk: reduced
+/// sizing, and a budget of 33 blocks, which ends in a partial lane group.
+fn chain_identity_smoke() {
+    let sizing = StageSizing { gates_per_mm2: 4_000.0, ..Default::default() };
+    let stages = all_stage_netlists(&sizing);
+    let netlists: Vec<_> = stages.iter().map(|s| s.netlist()).collect();
+    let (chain, _) =
+        compose_chain_with(&netlists, &ComposeOptions::core_level()).expect("five stages compose");
+    let faults = all_faults(&chain);
+    let cfg = CampaignConfig { max_patterns: 2_112, seed: 1, threads: 1 };
+    let inc = run_campaign(&chain, &faults, &cfg);
+    let reference = run_campaign_reference(&chain, &faults, &cfg);
+    assert_eq!(
+        inc.statuses(),
+        reference.statuses(),
+        "bench smoke: core-level chain statuses differ from reference"
+    );
+    assert_eq!(
+        inc.patterns_applied(),
+        reference.patterns_applied(),
+        "bench smoke: core-level chain applied-pattern counts differ"
+    );
+    println!(
+        "bench smoke chain: {} faults over {} gates, {} undetected after {} patterns, \
+         statuses identical",
+        faults.len(),
+        chain.num_gates(),
+        inc.counts().1,
+        inc.patterns_applied()
+    );
+}
+
 fn lifetime_smoke() {
     let mk = |threads: usize| LifetimeConfig {
         months: 12,
@@ -105,6 +140,7 @@ fn lifetime_smoke() {
 
 fn main() {
     campaign_smoke();
+    chain_identity_smoke();
     lifetime_smoke();
     println!("bench smoke OK");
 }

@@ -69,6 +69,18 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Reads a whole file of at most `limit` bytes; a longer one is
+    /// refused with [`io::ErrorKind::FileTooLarge`]. The default reads
+    /// the file and then checks its length, which suits in-memory
+    /// filesystems; [`RealFs`] refuses by length and never reads more
+    /// than `limit + 1` bytes.
+    fn read_at_most(&self, path: &Path, limit: u64) -> io::Result<Vec<u8>> {
+        let raw = self.read(path)?;
+        if raw.len() as u64 > limit {
+            return Err(too_large(path, limit));
+        }
+        Ok(raw)
+    }
     /// Atomically replaces `to` with `from`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Removes a file.
@@ -121,6 +133,21 @@ impl Vfs for RealFs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         let mut buf = Vec::new();
         std::fs::File::open(path)?.read_to_end(&mut buf)?;
+        Ok(buf)
+    }
+
+    fn read_at_most(&self, path: &Path, limit: u64) -> io::Result<Vec<u8>> {
+        let file = std::fs::File::open(path)?;
+        // Refused by length before any of it is read; the read itself is
+        // bounded too, since devices such as `/dev/zero` report length 0.
+        if file.metadata()?.len() > limit {
+            return Err(too_large(path, limit));
+        }
+        let mut buf = Vec::new();
+        file.take(limit + 1).read_to_end(&mut buf)?;
+        if buf.len() as u64 > limit {
+            return Err(too_large(path, limit));
+        }
         Ok(buf)
     }
 
@@ -376,6 +403,13 @@ impl MemFs {
     pub fn peek(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.read(path)
     }
+}
+
+fn too_large(path: &Path, limit: u64) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::FileTooLarge,
+        format!("{} is larger than {limit} bytes", path.display()),
+    )
 }
 
 fn not_found(path: &Path) -> io::Error {
@@ -1024,6 +1058,28 @@ mod tests {
         fs.crash();
         assert_eq!(fs.read(Path::new("/d/b")).unwrap(), b"world");
         assert!(!fs.exists(Path::new("/d/b.tmp")), "tmp name must not survive");
+    }
+
+    #[test]
+    fn reads_past_a_limit_are_refused_on_every_filesystem() {
+        let fs = MemFs::new();
+        fs.create_dir_all(Path::new("/d")).unwrap();
+        fs.create(Path::new("/d/a")).unwrap().write_all(b"abcd").unwrap();
+        assert_eq!(fs.read_at_most(Path::new("/d/a"), 4).unwrap(), b"abcd");
+        let e = fs.read_at_most(Path::new("/d/a"), 3).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::FileTooLarge);
+
+        let dir = std::env::temp_dir().join(format!("r2d3-chaos-limit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("a");
+        std::fs::write(&path, b"abcd").unwrap();
+        assert_eq!(RealFs.read_at_most(&path, 4).unwrap(), b"abcd");
+        let e = RealFs.read_at_most(&path, 3).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::FileTooLarge);
+        // A device reports length 0; the bounded read still stops.
+        let e = RealFs.read_at_most(Path::new("/dev/zero"), 3).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::FileTooLarge);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

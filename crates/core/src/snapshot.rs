@@ -71,6 +71,14 @@ pub const OLDEST_MIGRATABLE_VERSION: u32 = 3;
 /// Magic token opening every snapshot header.
 pub const SNAPSHOT_MAGIC: &str = "R2D3SNAP";
 
+/// Largest snapshot file [`read_verified`] accepts, in bytes. `--resume`
+/// and `campaign merge` take snapshot paths from the user, so a read is
+/// refused past this size ([`SnapshotError::TooLarge`]) instead of
+/// allocating whatever the file holds. A campaign snapshot of the
+/// largest admitted sweep (65,536 scenarios per substrate) is far
+/// smaller.
+pub const MAX_SNAPSHOT_BYTES: u64 = 256 << 20;
+
 /// Typed rejection reasons for snapshot files. Every failure mode of
 /// loading is represented here; loading never panics and never returns
 /// partially-parsed state.
@@ -111,6 +119,12 @@ pub enum SnapshotError {
         expected: u64,
         /// Digest of the body as found.
         found: u64,
+    },
+    /// The file is larger than [`MAX_SNAPSHOT_BYTES`]; it was refused
+    /// without being read whole.
+    TooLarge {
+        /// The size limit, in bytes.
+        limit: u64,
     },
     /// The body passed integrity checks but does not parse as the
     /// expected run state.
@@ -155,6 +169,9 @@ impl fmt::Display for SnapshotError {
                     f,
                     "snapshot digest mismatch: header says {expected:016x}, body hashes to {found:016x}"
                 )
+            }
+            SnapshotError::TooLarge { limit } => {
+                write!(f, "snapshot file is larger than the {limit}-byte limit")
             }
             SnapshotError::Malformed(msg) => write!(f, "snapshot body malformed: {msg}"),
             SnapshotError::ConfigMismatch(msg) => {
@@ -297,7 +314,9 @@ fn migrate(version: u32, kind: &str, mut body: String) -> Result<String, Snapsho
 }
 
 /// Reads and verifies a snapshot of the given `kind`, returning the body
-/// as a string. Verifies, in order: magic/header shape, version (newer
+/// as a string. Refuses a file over [`MAX_SNAPSHOT_BYTES`]
+/// ([`SnapshotError::TooLarge`]) before reading it whole, then verifies,
+/// in order: magic/header shape, version (newer
 /// than this build → [`SnapshotError::Version`]; older than
 /// [`OLDEST_MIGRATABLE_VERSION`] → [`SnapshotError::UnsupportedMigration`]),
 /// kind, declared length (→ [`SnapshotError::Truncated`]), digest
@@ -314,7 +333,13 @@ pub fn read_verified_with(
     path: &Path,
     kind: &'static str,
 ) -> Result<String, SnapshotError> {
-    let raw = vfs.read(path)?;
+    let raw = vfs.read_at_most(path, MAX_SNAPSHOT_BYTES).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::FileTooLarge {
+            SnapshotError::TooLarge { limit: MAX_SNAPSHOT_BYTES }
+        } else {
+            SnapshotError::Io(e)
+        }
+    })?;
     let newline = raw.iter().position(|&b| b == b'\n').ok_or(SnapshotError::NotASnapshot)?;
     let header = std::str::from_utf8(&raw[..newline]).map_err(|_| SnapshotError::NotASnapshot)?;
     let mut parts = header.split(' ');
@@ -383,6 +408,20 @@ mod tests {
         write_atomic(&path, "lifetime", body).unwrap();
         let read = read_verified(&path, "lifetime").unwrap();
         assert_eq!(read.as_bytes(), body);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn oversized_file_is_refused_by_its_length() {
+        // A sparse file one byte past the limit: refused before any of
+        // it is read, with an error that names the limit.
+        let path = tmp_path("oversized");
+        let file = fs::File::create(&path).unwrap();
+        file.set_len(MAX_SNAPSHOT_BYTES + 1).unwrap();
+        drop(file);
+        let err = read_verified(&path, "campaign").unwrap_err();
+        assert!(matches!(err, SnapshotError::TooLarge { limit: MAX_SNAPSHOT_BYTES }), "{err:?}");
+        assert!(err.to_string().contains(&MAX_SNAPSHOT_BYTES.to_string()), "{err}");
         fs::remove_file(&path).unwrap();
     }
 

@@ -25,13 +25,24 @@
 //! method stays as the reference oracle — at a fraction of the work:
 //! cost per (fault, block) is `O(active cone)` instead of `O(gates)`.
 //!
-//! On top of the 64-lane walk, [`FaultSim::eval_stuck_wide`] and
-//! [`WideScratch`] process **`W` pattern blocks (`W × 64` lanes) per
-//! walk**: each net carries a [`SimBlock<W>`] of independent lane groups,
-//! so one pass over the cone amortizes the event-walk bookkeeping
-//! (frontier test, touched-list maintenance, gate decode) across `W`× the
-//! patterns. Lane groups never mix; per group the walk is bit-identical
-//! to the narrow one, which keeps group-aware detection accounting exact.
+//! Campaigns classify faults with **seeded-difference walks**, which
+//! flip one net on chosen lanes and report the lanes on which the flip
+//! reaches an output: [`FaultSim::seeded_walk`] over one 64-lane block,
+//! and [`FaultSim::seeded_walk_wide`] with [`WideScratch`] over **`W`
+//! pattern blocks (`W × 64` lanes) per walk**. In the wide walk each net
+//! carries a [`SimBlock<W>`] of independent lane groups, so one pass
+//! over the cone amortizes the event-walk bookkeeping (frontier test,
+//! touched-list maintenance, gate decode) across `W`× the patterns.
+//! Lane groups never mix; per group the walk is bit-identical to the
+//! narrow one, which keeps group-aware detection accounting exact.
+//!
+//! A walk serves every fault of a **fanout-free region** at once. Inside
+//! such a region each net has one reader and is not an output, so a
+//! fault's effect leaves it only through the region's stem
+//! ([`FaultSim::stem`]). [`FaultSim::sensitize`] narrows a fault's
+//! excitation lanes to those on which it flips the stem, and one walk
+//! seeded at the stem with the union of those lanes then detects each
+//! fault exactly on its own lanes.
 //!
 //! The wide inner loop is **runtime-dispatched** over [`SimdKernel`]
 //! backends (scalar, AVX2, AVX-512, NEON). Every backend computes the
@@ -58,6 +69,9 @@ use crate::netlist::{Gate, GateKind, NetId, Netlist};
 /// Memory cap for the precomputed per-net cone bitsets (bytes). Above
 /// this, [`FaultSim::cone_into`] falls back to an on-demand worklist walk.
 const CONE_BITS_BUDGET: usize = 16 << 20;
+
+/// `FaultSim::single_reader` entry of a fanout-free region's stem.
+const NO_READER: u32 = u32::MAX;
 
 /// `W` independent 64-lane pattern blocks carried by one net during a
 /// wide walk: `W × 64` test patterns per gate evaluation.
@@ -123,6 +137,34 @@ impl PackedGate {
     fn output(self) -> u32 {
         self.ko >> 4
     }
+
+    /// The gate's output word for pin values `va`, `vb`, `vc`: ALU
+    /// selects over the four base ops, then the invert bit.
+    #[inline(always)]
+    fn eval(self, va: u64, vb: u64, vc: u64) -> u64 {
+        let base = self.ko & 3;
+        let m_and = u64::from(base == BASE_AND).wrapping_neg();
+        let m_or = u64::from(base == BASE_OR).wrapping_neg();
+        let m_xor = u64::from(base == BASE_XOR).wrapping_neg();
+        let m_mux = u64::from(base == BASE_MUX).wrapping_neg();
+        let m_inv = (u64::from(self.ko) >> 2 & 1).wrapping_neg();
+        (((va & vb) & m_and)
+            | ((va | vb) & m_or)
+            | ((va ^ vb) & m_xor)
+            | (((va & vb) | (!va & vc)) & m_mux))
+            ^ m_inv
+    }
+
+    /// The gate's Boolean difference with respect to `net`: the lanes
+    /// where flipping every pin that reads `net` flips the output, with
+    /// the other pins at `value`. Padded pins repeat pin 0 and only
+    /// `Mux` reads pin 2, so a one-input gate's difference is all ones.
+    #[inline]
+    fn difference(self, net: u32, value: impl Fn(u32) -> u64) -> u64 {
+        let [a, b, c] = self.pins;
+        let flip = |pin: u32| value(pin) ^ u64::from(pin == net).wrapping_neg();
+        self.eval(flip(a), flip(b), flip(c)) ^ self.eval(value(a), value(b), value(c))
+    }
 }
 
 /// One gate step of the event-driven walk: reads the XOR-difference
@@ -163,17 +205,7 @@ unsafe fn fire_gate(p: &PackedGate, good: &[u64], scratch: &mut SimScratch, last
             *good.get_unchecked(c as usize) ^ dc,
         )
     };
-    let base = p.ko & 3;
-    let m_and = u64::from(base == BASE_AND).wrapping_neg();
-    let m_or = u64::from(base == BASE_OR).wrapping_neg();
-    let m_xor = u64::from(base == BASE_XOR).wrapping_neg();
-    let m_mux = u64::from(base == BASE_MUX).wrapping_neg();
-    let m_inv = (u64::from(p.ko) >> 2 & 1).wrapping_neg();
-    let v = (((va & vb) & m_and)
-        | ((va | vb) & m_or)
-        | ((va ^ vb) & m_xor)
-        | (((va & vb) | (!va & vc)) & m_mux))
-        ^ m_inv;
+    let v = p.eval(va, vb, vc);
     let out = p.output() as usize;
     // SAFETY: `out < num_nets` per the construction-time assert.
     let d = unsafe {
@@ -524,8 +556,8 @@ unsafe fn fire_gate_wide_neon<const W: usize>(
 ///   read each other's outputs, so firing a whole run unconditionally is
 ///   result-identical (gates past the horizon self-skip on their
 ///   all-zero difference inputs);
-/// * the row walk tests the horizon (and the block-0 lane-0 detection
-///   freeze) once per 64-gate bitset word for the same reason.
+/// * the row walk tests the horizon once per 64-gate bitset word for
+///   the same reason.
 macro_rules! wide_walks {
     ($cone_walk:ident, $row_walk:ident, $fire:ident $(, enable = $feat:literal)?) => {
         /// Materialized-cone wide walk (see [`wide_walks!`]).
@@ -561,10 +593,7 @@ macro_rules! wide_walks {
             }
         }
 
-        /// Cone-bitset row wide walk (see [`wide_walks!`]): detection
-        /// oriented — stops at word granularity once block 0's lowest
-        /// excited lane (`freeze`, a single-bit mask or 0) observes the
-        /// fault.
+        /// Cone-bitset row wide walk (see [`wide_walks!`]).
         ///
         /// # Safety
         ///
@@ -577,7 +606,6 @@ macro_rules! wide_walks {
             good: &[SimBlock<W>],
             scratch: &mut WideScratch<W>,
             mut last_needed: u32,
-            freeze: u64,
         ) {
             for (wi, &wbits) in row.iter().enumerate() {
                 if wbits == 0 {
@@ -597,13 +625,6 @@ macro_rules! wide_walks {
                         let p = packed.get_unchecked(g);
                         $fire::<W>(p, good, scratch, &mut last_needed);
                     }
-                }
-                // Block-0 excitation freeze: once the lowest excited
-                // lane of lane group 0 detects, the group-aware verdict
-                // (earliest block, then earliest lane) cannot change —
-                // group 0's word only gains higher bits from here.
-                if scratch.out_diff[0] & freeze != 0 {
-                    return;
                 }
             }
         }
@@ -756,6 +777,11 @@ pub struct FaultSim {
     last_reader: Vec<u32>,
     /// Whether each net is a primary output (observed by detection).
     is_output: Vec<bool>,
+    /// Per net: the slot of its one reader pin when it has exactly one
+    /// and is not a primary output — the net then lies inside a
+    /// fanout-free region — otherwise [`NO_READER`]: the net is the
+    /// stem of its region.
+    single_reader: Vec<u32>,
     /// Flattened 16-byte copy of each gate in slot order, so the hot
     /// walk reads one contiguous stream instead of chasing each
     /// [`Gate::inputs`] heap allocation.
@@ -837,6 +863,18 @@ impl FaultSim {
         for o in netlist.outputs() {
             is_output[o.index()] = true;
         }
+        // Fanout counts reader *pins*, so a gate that reads a net twice
+        // makes that net a stem.
+        let single_reader: Vec<u32> = (0..num_nets)
+            .map(|n| {
+                let (lo, hi) = (reader_off[n] as usize, reader_off[n + 1] as usize);
+                if hi - lo == 1 && !is_output[n] {
+                    readers[lo]
+                } else {
+                    NO_READER
+                }
+            })
+            .collect();
 
         let packed: Vec<PackedGate> = slot_order
             .iter()
@@ -889,6 +927,7 @@ impl FaultSim {
             readers,
             last_reader,
             is_output,
+            single_reader,
             packed,
             bucket_end,
             slot_level,
@@ -996,14 +1035,6 @@ impl FaultSim {
         cone.runs.push(cone.gates.len() as u32);
     }
 
-    /// Whether cones come from the precomputed bitset closure — i.e. the
-    /// netlist fit the memory budget. Cheap cones make per-fault cone
-    /// caching across a whole campaign worthwhile.
-    #[must_use]
-    pub fn cheap_cones(&self) -> bool {
-        self.cone_bits.is_some()
-    }
-
     /// Convenience wrapper around [`cone_into`](FaultSim::cone_into)
     /// allocating a fresh [`FaultCone`].
     #[must_use]
@@ -1067,96 +1098,99 @@ impl FaultSim {
         }
     }
 
-    /// Detection-oriented variant of [`eval_stuck`](FaultSim::eval_stuck)
-    /// that needs no materialized [`FaultCone`] and no per-fault cone
-    /// derivation: with cone bitsets built it scans the precomputed
-    /// bitset row in slot order (prefetch-friendly, branchless
-    /// per-gate skip); without them it falls back to a levelized event
-    /// walk over the per-level buckets (only gates with a differing
-    /// input fire — `O(active frontier)` instead of `O(structural
-    /// cone)`, which is what makes the fallback viable on netlists too
-    /// large for the bitset budget).
-    ///
-    /// **Detection-exact, not value-exact**: a lane where the fault site
-    /// is not excited carries the good circuit everywhere, so the detect
-    /// word is always a bitwise subset of the site's excitation word.
-    /// The walk therefore stops (at 64-slot word or level granularity)
-    /// as soon as the **lowest excited lane** observes the fault — from
-    /// that point the detect word can only gain *higher* bits and its
-    /// `trailing_zeros` is already pinned. Relative to a full
-    /// `eval_stuck`, the detect word's nonzero-ness and its
-    /// `trailing_zeros` (the first detecting lane) are exact, but
-    /// [`SimScratch::value`] is only meaningful for nets written before
-    /// the stop. Campaign classification needs exactly the former two;
-    /// callers that read net values keep the full walk.
-    pub fn eval_stuck_detect(&self, good: &[u64], stuck: (NetId, bool), scratch: &mut SimScratch) {
-        assert_eq!(good.len(), self.num_nets, "good vector length");
-        scratch.begin(self.num_nets);
-        let (fnet, fval) = stuck;
-        let forced = if fval { !0u64 } else { 0u64 };
-        if good[fnet.index()] == forced {
-            // The net already carries the forced value in all 64 lanes:
-            // the faulty circuit is indistinguishable on this block.
-            return;
+    /// The stem of `net`'s fanout-free region: the first net on its
+    /// single-reader chain that fans out, is a primary output or has no
+    /// reader. A difference on any net of the region reaches the
+    /// outputs only through the stem.
+    #[must_use]
+    pub fn stem(&self, net: NetId) -> NetId {
+        let mut n = net.0;
+        while let Some(p) = self.single_reader_gate(n) {
+            n = p.output();
         }
-        let fdiff = forced ^ good[fnet.index()];
-        // Lowest excited lane: no detect-word bit below it can ever
-        // appear, so detection there pins the verdict and the lane.
-        let freeze = fdiff & fdiff.wrapping_neg();
-        self.detect_walk(good, fnet, fdiff, freeze, scratch);
+        NetId(n)
     }
 
-    /// Evaluates **both** stuck-at polarities of `fnet` in one walk.
+    /// The one gate reading `net`, unless `net` is its region's stem.
+    fn single_reader_gate(&self, net: u32) -> Option<PackedGate> {
+        let slot = self.single_reader[net as usize];
+        (slot != NO_READER).then(|| self.packed[slot as usize])
+    }
+
+    /// ANDs into `mask`, lane by lane, the Boolean difference of each
+    /// gate on the path from `net` to its [`stem`](FaultSim::stem) (side
+    /// inputs at their values in `good`), and returns the stem. `W = 1`
+    /// serves a narrow 64-lane vector (`good.as_chunks::<1>().0`).
     ///
-    /// The two polarities excite complementary lane sets — `fdiff` for
-    /// stuck-at-0 is `good[fnet]`, for stuck-at-1 it is `!good[fnet]` —
-    /// and lanes never interact, so seeding the walk with an all-ones
-    /// difference (a per-lane bit flip at the site) simulates stuck-at-0
-    /// in the lanes where the good value is 1 and stuck-at-1 in the
-    /// rest. Afterwards `detect_word(..) & good[fnet]` is bit-identical
-    /// to the stuck-at-0 walk's detect word and `detect_word(..) &
-    /// !good[fnet]` to the stuck-at-1 one (same exactness contract as
-    /// [`eval_stuck_detect`](FaultSim::eval_stuck_detect): nonzero-ness
-    /// and `trailing_zeros` per polarity). One traversal classifies two
-    /// faults — the campaign's first-block probe runs on site pairs.
-    pub fn eval_flip_detect(&self, good: &[u64], fnet: NetId, scratch: &mut SimScratch) {
-        assert_eq!(good.len(), self.num_nets, "good vector length");
-        scratch.begin(self.num_nets);
-        let g = good[fnet.index()];
-        // Lowest excited lane of each polarity: the walk may stop only
-        // once *both* verdicts are pinned (an unexcitable polarity
-        // contributes no bit, so its side of the mask is 0 and the walk
-        // runs until the other polarity detects or the frontier dies).
-        let e0 = g & g.wrapping_neg();
-        let e1 = !g & (!g).wrapping_neg();
-        self.detect_walk(good, fnet, !0u64, e0 | e1, scratch);
+    /// Every net on the path has one reader, the next path gate, and is
+    /// not an output, so a flip of `net` on some lanes changes nothing
+    /// off the path and flips the stem exactly where every path gate
+    /// passes it. A stuck-at-`v` fault on `net` is such a flip on its
+    /// excitation lanes (`good ≠ v`): seeded with those, `mask` ends as
+    /// the lanes on which the fault flips the stem. The fault's detect
+    /// word is then `mask` ANDed with the detect word of a seeded walk
+    /// ([`seeded_walk`](FaultSim::seeded_walk),
+    /// [`seeded_walk_wide`](FaultSim::seeded_walk_wide)) from the stem
+    /// over any superset of `mask`: lanes never interact, so one walk
+    /// serves every fault of the region.
+    pub fn sensitize<const W: usize>(
+        &self,
+        good: &[SimBlock<W>],
+        net: NetId,
+        mask: &mut SimBlock<W>,
+    ) -> NetId {
+        let mut n = net.0;
+        while let Some(p) = self.single_reader_gate(n) {
+            for (l, m) in mask.iter_mut().enumerate() {
+                *m &= p.difference(n, |k| good[k as usize][l]);
+            }
+            n = p.output();
+        }
+        NetId(n)
     }
 
-    /// Shared body of the detect walks: seeds `fdiff` at `fnet`,
-    /// propagates, and stops early once every bit of `exit_mask` has
-    /// appeared in the detection word (callers pass the lowest excited
-    /// lane per polarity of interest — see the excitation-freeze notes
-    /// on [`eval_stuck_detect`](FaultSim::eval_stuck_detect)).
-    fn detect_walk(
+    /// Narrow seeded-difference walk: flips `net` on the lanes of `diff`
+    /// against one 64-pattern block's good values and propagates the
+    /// difference toward the outputs. Afterwards
+    /// [`detect_word`](FaultSim::detect_word) holds the lanes on which
+    /// the flip reached a primary output. With cone bitsets built the
+    /// walk scans `net`'s bitset row in slot order (prefetch-friendly,
+    /// branchless per-gate skip); without them it runs a levelized event
+    /// walk over the per-level buckets (only gates with a differing
+    /// input fire, which keeps netlists too large for the bitset budget
+    /// viable).
+    ///
+    /// The walk stops early, at gate or level granularity, once every
+    /// bit of `exit_mask` (a nonzero subset of `diff`) is observed. This
+    /// is the excitation freeze: a fault classified from this walk has a
+    /// detect word that is a subset of its own seeded lanes, so once its
+    /// lowest seeded lane detects, later gates only OR higher bits in,
+    /// and its verdict and first detecting lane (`trailing_zeros`) are
+    /// pinned. Callers pass the lowest seeded lane of every fault they
+    /// classify. The detect word is exact in those two facts, and
+    /// [`SimScratch::value`] only for nets written before the stop.
+    pub fn seeded_walk(
         &self,
         good: &[u64],
-        fnet: NetId,
-        fdiff: u64,
+        net: NetId,
+        diff: u64,
         exit_mask: u64,
         scratch: &mut SimScratch,
     ) {
-        scratch.set_diff(fnet, fdiff);
-        scratch.out_diff |= fdiff & u64::from(self.is_output[fnet.index()]).wrapping_neg();
+        assert_eq!(good.len(), self.num_nets, "good vector length");
+        scratch.begin(self.num_nets);
+        scratch.set_diff(net, diff);
+        scratch.out_diff |= diff & u64::from(self.is_output[net.index()]).wrapping_neg();
         if scratch.out_diff & exit_mask == exit_mask {
             return;
         }
         if let Some(cb) = &self.cone_bits {
             // Fast path: linear scan of the precomputed cone row. With
-            // 64 patterns per lane the fault effect rarely dies, so most
+            // 64 patterns per lane the difference rarely dies, so most
             // cone gates are active anyway and the branchless in-order
             // scan beats event scheduling.
-            let mut last_needed = self.last_reader[fnet.index()];
-            let row = &cb.bits[fnet.index() * cb.words..][..cb.words];
+            let mut last_needed = self.last_reader[net.index()];
+            let row = &cb.bits[net.index() * cb.words..][..cb.words];
             for (wi, &wbits) in row.iter().enumerate() {
                 if wbits == 0 {
                     continue;
@@ -1176,11 +1210,7 @@ impl FaultSim {
                         let p = self.packed.get_unchecked(g);
                         fire_gate(p, good, scratch, &mut last_needed);
                     }
-                    // Excitation freeze at gate granularity: once every
-                    // polarity's lowest excited lane detects, the
-                    // classification outcomes and first detecting lanes
-                    // cannot change (extra fired slots only OR higher
-                    // bits into each polarity's detect word).
+                    // Excitation freeze at gate granularity.
                     if scratch.out_diff & exit_mask == exit_mask {
                         return;
                     }
@@ -1191,7 +1221,7 @@ impl FaultSim {
         scratch.begin_events(self.num_levels, self.num_gates);
         let mut lo = self.num_levels;
         let mut hi = 0usize;
-        for &g in self.readers_of(fnet) {
+        for &g in self.readers_of(net) {
             if scratch.mark_gate(g) {
                 let l = self.slot_level[g as usize] as usize;
                 scratch.pending[l].push(g);
@@ -1226,22 +1256,11 @@ impl FaultSim {
                         *good.get_unchecked(c as usize) ^ dc,
                     )
                 };
-                let base = p.ko & 3;
-                let m_and = u64::from(base == BASE_AND).wrapping_neg();
-                let m_or = u64::from(base == BASE_OR).wrapping_neg();
-                let m_xor = u64::from(base == BASE_XOR).wrapping_neg();
-                let m_mux = u64::from(base == BASE_MUX).wrapping_neg();
-                let m_inv = (u64::from(p.ko) >> 2 & 1).wrapping_neg();
-                let v = (((va & vb) & m_and)
-                    | ((va | vb) & m_or)
-                    | ((va ^ vb) & m_xor)
-                    | (((va & vb) | (!va & vc)) & m_mux))
-                    ^ m_inv;
                 let out = p.output() as usize;
                 // SAFETY: `out < num_nets` per the construction assert.
-                let d = v ^ unsafe { *good.get_unchecked(out) };
+                let d = p.eval(va, vb, vc) ^ unsafe { *good.get_unchecked(out) };
                 if d == 0 {
-                    // The fault effect dies at this gate: `diff[out]` is
+                    // The difference dies at this gate: `diff[out]` is
                     // already zero (each net is written by at most one
                     // fired gate), so there is nothing to record.
                     continue;
@@ -1262,12 +1281,9 @@ impl FaultSim {
             let mut bucket = bucket;
             bucket.clear();
             scratch.pending[level] = bucket;
-            // Excitation freeze at level granularity: once every
-            // polarity's lowest excited lane detects, the classification
-            // outcomes and first detecting lanes cannot change (further
-            // levels only OR higher bits into each polarity's detect
-            // word). Scheduled-but-unfired levels are cleared so every
-            // bucket is empty again for the next walk.
+            // Excitation freeze at level granularity. Scheduled but
+            // unfired levels are cleared so every bucket is empty again
+            // for the next walk.
             if scratch.out_diff & exit_mask == exit_mask {
                 for b in &mut scratch.pending[level + 1..=hi] {
                     b.clear();
@@ -1278,139 +1294,78 @@ impl FaultSim {
         }
     }
 
-    /// `W × 64`-lane event-driven fault evaluation: `W` 64-pattern
-    /// blocks in one walk, dispatched to the engine's [`SimdKernel`].
+    /// `W × 64`-lane seeded-difference walk: flips `net` on the lanes of
+    /// `diff` against the good values of `W` pattern blocks (see
+    /// [`pack_blocks`]) and propagates the difference to frontier
+    /// convergence, dispatched to the engine's [`SimdKernel`].
+    /// Afterwards lane group `g` of `scratch` (difference overlay,
+    /// detection word) is bit-identical to a narrow walk of block `g`
+    /// alone, whatever the kernel. The blocks share one frontier, so the
+    /// cost of a walk is bounded by its widest block, not their sum.
     ///
-    /// `good` must hold, per net, the good values of the `W` blocks
-    /// being simulated (see [`pack_blocks`]), and `cone` the
-    /// [`cone_into`](FaultSim::cone_into) result for `stuck.0`. Lane
-    /// groups are independent: afterwards, lane group `g` of the scratch
-    /// (difference overlay, detection word) is bit-identical to an
-    /// [`eval_stuck`](FaultSim::eval_stuck) over block `g` alone —
-    /// regardless of the dispatched kernel. The walk shares one frontier
-    /// across the blocks, so it only converges once *every* block's
-    /// fault effect has died out — the cost of a group is bounded by its
-    /// widest member, not their sum.
-    pub fn eval_stuck_wide<const W: usize>(
+    /// With cone bitsets built the walk scans `net`'s bitset row; without
+    /// them it derives `net`'s cone into the scratch and walks its level
+    /// runs.
+    pub fn seeded_walk_wide<const W: usize>(
         &self,
         good: &[SimBlock<W>],
-        stuck: (NetId, bool),
-        cone: &FaultCone,
+        net: NetId,
+        diff: SimBlock<W>,
         scratch: &mut WideScratch<W>,
     ) {
         assert_eq!(good.len(), self.num_nets, "good vector length");
         scratch.begin(self.num_nets);
-        let Some(last_needed) = self.seed_wide(good, stuck, scratch) else {
+        if diff == [0; W] {
             return;
-        };
-        // SAFETY (all arms): pins and outputs were range-checked against
-        // `num_nets` in `FaultSim::new`; `good` and `scratch.diff` are
-        // both `num_nets` long (asserted/sized above); `effective_kernel`
-        // only returns kernels whose chunk width divides `W`, and SIMD
-        // kernels only when `self.kernel` passed runtime CPU detection.
-        match effective_kernel::<W>(self.kernel) {
-            #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx2 => unsafe { cone_walk_avx2::<W>(cone, good, scratch, last_needed) },
-            #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx512 => unsafe {
-                cone_walk_avx512::<W>(cone, good, scratch, last_needed)
-            },
-            #[cfg(target_arch = "aarch64")]
-            SimdKernel::Neon => unsafe { cone_walk_neon::<W>(cone, good, scratch, last_needed) },
-            _ => unsafe { cone_walk_scalar::<W>(cone, good, scratch, last_needed) },
         }
-    }
-
-    /// `W × 64`-lane detection-oriented walk over the precomputed cone
-    /// bitset row — the [`eval_stuck_detect`](FaultSim::eval_stuck_detect)
-    /// analogue for `W` pattern blocks at once, dispatched to the
-    /// engine's [`SimdKernel`]. Returns `false` (doing nothing) when the
-    /// engine was built without cone bitsets; callers then fall back to
-    /// [`cone_into`](FaultSim::cone_into) +
-    /// [`eval_stuck_wide`](FaultSim::eval_stuck_wide).
-    ///
-    /// **Detection-exact per lane group**: each detection word's
-    /// nonzero-ness and `trailing_zeros` match a standalone walk of that
-    /// block, with one exception mirroring the narrow variant's
-    /// excitation freeze — once the lowest excited lane of lane group 0
-    /// observes the fault, the walk stops (at word granularity), because
-    /// group 0's word is a bitwise subset of the site's block-0
-    /// excitation: group-aware accounting (earliest block wins, then
-    /// earliest lane) is already pinned at block 0 and no lower lane of
-    /// it can ever appear.
-    pub fn eval_stuck_detect_wide<const W: usize>(
-        &self,
-        good: &[SimBlock<W>],
-        stuck: (NetId, bool),
-        scratch: &mut WideScratch<W>,
-    ) -> bool {
-        let Some(cb) = &self.cone_bits else {
-            return false;
-        };
-        assert_eq!(good.len(), self.num_nets, "good vector length");
-        scratch.begin(self.num_nets);
-        let Some(last_needed) = self.seed_wide(good, stuck, scratch) else {
-            return true;
-        };
-        // Lowest excited lane of block 0: group 0's detect word is a
-        // subset of the site's block-0 excitation, so detection there
-        // pins the earliest (block, lane) verdict.
-        let f0 = (if stuck.1 { !0u64 } else { 0 }) ^ good[stuck.0.index()][0];
-        let freeze = f0 & f0.wrapping_neg();
-        if scratch.out_diff[0] & freeze != 0 {
-            return true;
-        }
-        let row = &cb.bits[stuck.0.index() * cb.words..][..cb.words];
-        // SAFETY (all arms): as in `eval_stuck_wide`, plus `row` is this
-        // engine's own cone bitset row (one bit per slot of `packed`).
-        match effective_kernel::<W>(self.kernel) {
-            #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx2 => unsafe {
-                row_walk_avx2::<W>(row, &self.packed, good, scratch, last_needed, freeze)
-            },
-            #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx512 => unsafe {
-                row_walk_avx512::<W>(row, &self.packed, good, scratch, last_needed, freeze)
-            },
-            #[cfg(target_arch = "aarch64")]
-            SimdKernel::Neon => unsafe {
-                row_walk_neon::<W>(row, &self.packed, good, scratch, last_needed, freeze)
-            },
-            _ => unsafe {
-                row_walk_scalar::<W>(row, &self.packed, good, scratch, last_needed, freeze)
-            },
-        }
-        true
-    }
-
-    /// Shared wide-walk prologue: seeds the fault-site difference and
-    /// the primary-output detection words, and returns the initial
-    /// frontier horizon — or `None` when every block already carries the
-    /// forced value (the walk has nothing to do).
-    fn seed_wide<const W: usize>(
-        &self,
-        good: &[SimBlock<W>],
-        stuck: (NetId, bool),
-        scratch: &mut WideScratch<W>,
-    ) -> Option<u32> {
-        let (fnet, fval) = stuck;
-        let forced = if fval { !0u64 } else { 0u64 };
-        let site = good[fnet.index()];
-        let mut fdiff = [0u64; W];
-        let mut any = 0u64;
-        for l in 0..W {
-            fdiff[l] = forced ^ site[l];
-            any |= fdiff[l];
-        }
-        if any == 0 {
-            return None;
-        }
-        scratch.set_diff(fnet, fdiff);
-        let m_out = u64::from(self.is_output[fnet.index()]).wrapping_neg();
-        for (o, d) in scratch.out_diff.iter_mut().zip(fdiff) {
+        scratch.set_diff(net, diff);
+        let m_out = u64::from(self.is_output[net.index()]).wrapping_neg();
+        for (o, d) in scratch.out_diff.iter_mut().zip(diff) {
             *o |= d & m_out;
         }
-        Some(self.last_reader[fnet.index()])
+        let last_needed = self.last_reader[net.index()];
+        let kernel = effective_kernel::<W>(self.kernel);
+        // SAFETY (all arms below): pins and outputs were range-checked
+        // against `num_nets` in `FaultSim::new`; `good` and
+        // `scratch.diff` are both `num_nets` long (asserted/sized
+        // above); `effective_kernel` only returns kernels whose chunk
+        // width divides `W`, and SIMD kernels only when `self.kernel`
+        // passed runtime CPU detection; `row` is this engine's own cone
+        // bitset row (one bit per slot of `packed`).
+        if let Some(cb) = &self.cone_bits {
+            let row = &cb.bits[net.index() * cb.words..][..cb.words];
+            let packed = &self.packed;
+            match kernel {
+                #[cfg(target_arch = "x86_64")]
+                SimdKernel::Avx2 => unsafe {
+                    row_walk_avx2::<W>(row, packed, good, scratch, last_needed)
+                },
+                #[cfg(target_arch = "x86_64")]
+                SimdKernel::Avx512 => unsafe {
+                    row_walk_avx512::<W>(row, packed, good, scratch, last_needed)
+                },
+                #[cfg(target_arch = "aarch64")]
+                SimdKernel::Neon => unsafe {
+                    row_walk_neon::<W>(row, packed, good, scratch, last_needed)
+                },
+                _ => unsafe { row_walk_scalar::<W>(row, packed, good, scratch, last_needed) },
+            }
+            return;
+        }
+        let mut cone = std::mem::take(&mut scratch.cone);
+        self.cone_into(net, &mut cone);
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            SimdKernel::Avx2 => unsafe { cone_walk_avx2::<W>(&cone, good, scratch, last_needed) },
+            #[cfg(target_arch = "x86_64")]
+            SimdKernel::Avx512 => unsafe {
+                cone_walk_avx512::<W>(&cone, good, scratch, last_needed)
+            },
+            #[cfg(target_arch = "aarch64")]
+            SimdKernel::Neon => unsafe { cone_walk_neon::<W>(&cone, good, scratch, last_needed) },
+            _ => unsafe { cone_walk_scalar::<W>(&cone, good, scratch, last_needed) },
+        }
+        scratch.cone = cone;
     }
 
     /// Detection word after [`eval_stuck`](FaultSim::eval_stuck): bit
@@ -1512,10 +1467,10 @@ pub struct SimScratch {
     /// OR of `faulty ^ good` over primary-output nets, accumulated while
     /// the walk runs.
     out_diff: u64,
-    /// Levelized event-walk state ([`FaultSim::eval_stuck_detect`]):
-    /// scheduled gate slots per logic level. All buckets are empty
-    /// between walks (drained in level order, or cleared on the lane-0
-    /// freeze), so only the walked levels cost anything.
+    /// Levelized event-walk state ([`FaultSim::seeded_walk`] without
+    /// cone bitsets): scheduled gate slots per logic level. All buckets
+    /// are empty between walks (drained in level order, or cleared on
+    /// the excitation freeze), so only the walked levels cost anything.
     pending: Vec<Vec<u32>>,
     /// Epoch-tagged dedup stamps, one per gate slot: a gate schedules
     /// at most once per walk even when several of its inputs differ.
@@ -1589,7 +1544,7 @@ impl SimScratch {
 }
 
 /// `W × 64`-lane XOR-difference overlay used by
-/// [`FaultSim::eval_stuck_wide`]: `W` independent 64-lane pattern
+/// [`FaultSim::seeded_walk_wide`]: `W` independent 64-lane pattern
 /// blocks ("lane groups") simulated in one event walk. `diff[n][g]`
 /// holds `faulty ^ good` for net `n` on block `g`.
 ///
@@ -1602,13 +1557,21 @@ pub struct WideScratch<const W: usize = 4> {
     touched: Vec<u32>,
     /// OR of `faulty ^ good` over primary-output nets, per lane group.
     out_diff: SimBlock<W>,
+    /// The walked net's cone, derived per walk when the engine has no
+    /// cone bitsets.
+    cone: FaultCone,
 }
 
 impl<const W: usize> WideScratch<W> {
     /// Creates an empty scratch (buffers grow on first use).
     #[must_use]
     pub fn new() -> Self {
-        WideScratch { diff: Vec::new(), touched: Vec::new(), out_diff: [0; W] }
+        WideScratch {
+            diff: Vec::new(),
+            touched: Vec::new(),
+            out_diff: [0; W],
+            cone: FaultCone::new(),
+        }
     }
 
     fn begin(&mut self, num_nets: usize) {
@@ -1663,7 +1626,7 @@ impl<const W: usize> Default for WideScratch<W> {
 
 /// Packs up to `W` 64-lane good-value vectors (one per pattern block,
 /// each `num_nets` long as produced by `Netlist::eval_all`) into the
-/// lane-group layout consumed by [`FaultSim::eval_stuck_wide`]. When
+/// lane-group layout consumed by [`FaultSim::seeded_walk_wide`]. When
 /// fewer than `W` blocks are supplied, the trailing lane groups repeat
 /// the last block so padded lanes behave like real patterns; callers
 /// must ignore their detection words.
@@ -1715,7 +1678,7 @@ mod tests {
     fn assert_matches_oracle_with(nl: &Netlist, sim: &FaultSim) {
         let mut cone = FaultCone::new();
         let mut scratch = SimScratch::new();
-        let mut det_scratch = SimScratch::new();
+        let mut det = SimScratch::new();
         for block in 0..4u64 {
             let inputs = random_inputs(nl.num_inputs(), 0xBEEF ^ block);
             let good = nl.eval_all(&inputs);
@@ -1739,19 +1702,26 @@ mod tests {
                         oracle_diff |= oracle[o.index()] ^ g;
                     }
                     assert_eq!(sim.detect_word(&good, &scratch), oracle_diff);
-                    // The levelized event-walk detection variant must
-                    // agree on detection and the first detecting lane
-                    // (it may stop early once lane 0 fires).
-                    sim.eval_stuck_detect(&good, (net, stuck), &mut det_scratch);
-                    let det = sim.detect_word(&good, &det_scratch);
-                    assert_eq!(
-                        det != 0,
-                        oracle_diff != 0,
-                        "detect variant disagreement for fault ({net}, sa{})",
-                        u8::from(stuck)
-                    );
-                    if oracle_diff != 0 {
-                        assert_eq!(det.trailing_zeros(), oracle_diff.trailing_zeros());
+                    // Seeded walks from the site and, narrowed by the
+                    // region's path differences, from its stem must agree
+                    // on detection and the first detecting lane (they may
+                    // stop once the lowest seeded lane fires).
+                    let excite = if stuck { !good[net.index()] } else { good[net.index()] };
+                    let mut mask = [excite];
+                    let stem = sim.sensitize(good.as_chunks::<1>().0, net, &mut mask);
+                    assert_eq!(stem, sim.stem(net));
+                    for (seed, diff) in [(net, excite), (stem, mask[0])] {
+                        sim.seeded_walk(&good, seed, diff, diff & diff.wrapping_neg(), &mut det);
+                        let word = sim.detect_word(&good, &det) & diff;
+                        assert_eq!(
+                            word != 0,
+                            oracle_diff != 0,
+                            "walk from {seed} disagrees for fault ({net}, sa{})",
+                            u8::from(stuck)
+                        );
+                        if oracle_diff != 0 {
+                            assert_eq!(word.trailing_zeros(), oracle_diff.trailing_zeros());
+                        }
                     }
                 }
             }
@@ -1800,6 +1770,32 @@ mod tests {
         assert!(sim.cone(z).gates().is_empty());
         // Fault on input 3 only disturbs the final OR.
         assert_eq!(sim.cone(i[3]).gates().len(), 1);
+    }
+
+    #[test]
+    fn stems_end_fanout_free_regions() {
+        let mut b = NetlistBuilder::new();
+        let i = b.inputs(3);
+        let x = b.and2(i[0], i[1]); // read once: inside z's region
+        let y = b.not(x);
+        let z = b.xor2(y, i[2]); // primary output
+        let w = b.and2(i[2], i[2]); // reads i2 twice more
+        b.output(z);
+        b.output(w);
+        let nl = b.finish();
+        let sim = FaultSim::new(&nl);
+        assert_eq!(sim.stem(i[0]), z);
+        assert_eq!(sim.stem(x), z);
+        assert_eq!(sim.stem(y), z);
+        assert_eq!(sim.stem(z), z, "a primary output ends its region");
+        assert_eq!(sim.stem(i[2]), i[2], "three reader pins make a stem");
+        assert_eq!(sim.stem(w), w);
+        // The path differences of i0 → x → y → z: the AND passes i0
+        // where i1 = 1, the inverter and the XOR always.
+        let good = nl.eval_all(&[0b0101, 0b0011, 0b1111]);
+        let mut mask = [!0u64];
+        assert_eq!(sim.sensitize(good.as_chunks::<1>().0, i[0], &mut mask), z);
+        assert_eq!(mask[0], 0b0011);
     }
 
     #[test]
@@ -1863,11 +1859,12 @@ mod tests {
         assert_eq!(sim.detect_word(&good, &scratch), 0);
     }
 
-    /// Every fault, over `W` pattern blocks: one wide walk must be
-    /// bit-identical, lane group by lane group, to `W` narrow walks —
-    /// values on every net, detection words, and the detect variant's
-    /// group-aware verdict (earliest block, then earliest lane) — for
-    /// the given kernel.
+    /// Every fault, over `W` pattern blocks: one wide walk seeded with
+    /// the fault's excitation lanes must be bit-identical, lane group by
+    /// lane group, to `W` narrow walks — values on every net and
+    /// detection words — for the given kernel. So must the fault's
+    /// stem-shared detect words: its lanes narrowed to the stem, ANDed
+    /// with one walk from the stem seeded with both polarities' lanes.
     fn assert_wide_matches_narrow<const W: usize>(nl: &Netlist, kernel: SimdKernel) {
         let mut sim = FaultSim::new(nl);
         assert!(sim.cone_bits.is_some(), "test netlists fit the cone-bitset budget");
@@ -1879,7 +1876,7 @@ mod tests {
             let mut cone = FaultCone::new();
             let mut narrow = SimScratch::new();
             let mut wide = WideScratch::<W>::new();
-            let mut det = WideScratch::<W>::new();
+            let mut shared = WideScratch::<W>::new();
             let blocks: Vec<Vec<u64>> =
                 (0..W as u64).map(|b| random_inputs(nl.num_inputs(), 0xD1CE ^ b)).collect();
             let goods: Vec<Vec<u64>> = blocks.iter().map(|b| nl.eval_all(b)).collect();
@@ -1887,10 +1884,13 @@ mod tests {
             for net in 0..nl.num_nets() as u32 {
                 let net = NetId(net);
                 sim.cone_into(net, &mut cone);
+                let mut path = [!0u64; W];
+                let stem = sim.sensitize(&packed, net, &mut path);
+                sim.seeded_walk_wide(&packed, stem, path, &mut shared);
                 for stuck in [false, true] {
-                    sim.eval_stuck_wide(&packed, (net, stuck), &cone, &mut wide);
+                    let excite = packed[net.index()].map(|g| if stuck { !g } else { g });
+                    sim.seeded_walk_wide(&packed, net, excite, &mut wide);
                     let words = wide.detect_words();
-                    let mut first = None;
                     for (g, good) in goods.iter().enumerate() {
                         sim.eval_stuck(good, (net, stuck), &cone, &mut narrow);
                         for n in 0..nl.num_nets() as u32 {
@@ -1909,27 +1909,12 @@ mod tests {
                             "detect word, lane group {g}, {}",
                             kernel.name()
                         );
-                        if first.is_none() && word != 0 {
-                            first = Some((g, word.trailing_zeros()));
-                        }
-                    }
-                    // The detect variant must agree on the earliest
-                    // detecting (block, lane) pair — the only facts
-                    // group-aware campaign accounting consumes.
-                    if sim.eval_stuck_detect_wide(&packed, (net, stuck), &mut det) {
-                        let dw = det.detect_words();
-                        let got = (0..W).find(|&g| dw[g] != 0).map(|g| (g, dw[g].trailing_zeros()));
                         assert_eq!(
-                            got.is_some(),
-                            first.is_some(),
-                            "detect-wide disagreement for fault ({net}, sa{})",
-                            u8::from(stuck)
+                            excite[g] & path[g] & shared.detect_words()[g],
+                            word,
+                            "stem-shared detect word, lane group {g}, {}",
+                            kernel.name()
                         );
-                        if let (Some(a), Some(b)) = (got, first) {
-                            assert_eq!(a, b, "first detecting (block, lane)");
-                        }
-                    } else {
-                        assert!(sim.cone_bits.is_none(), "detect-wide refused with bitsets");
                     }
                 }
             }

@@ -2,7 +2,9 @@
 //! engine is bit-identical to the full-re-evaluation oracle
 //! (`Netlist::eval_all_stuck`) on randomly generated netlists — and the
 //! 256-lane (`[u64; 4]`) wide walk is bit-identical, lane group by lane
-//! group, to four independent narrow walks.
+//! group, to four independent narrow walks. Walks from a fault's
+//! fanout-free-region stem, seeded with the lanes the fault flips the
+//! stem on, detect it exactly as walks from its site do.
 
 use proptest::prelude::*;
 use r2d3_netlist::{
@@ -92,24 +94,30 @@ proptest! {
                 }
                 prop_assert_eq!(sim.detect_word(&good, &scratch), oracle_diff);
 
-                // The levelized event-walk detection variant (used by
-                // campaigns) must agree on detection and on the first
-                // detecting lane.
-                sim.eval_stuck_detect(&good, (net, stuck), &mut det_scratch);
-                let det = sim.detect_word(&good, &det_scratch);
-                prop_assert_eq!(det != 0, oracle_diff != 0);
-                if oracle_diff != 0 {
-                    prop_assert_eq!(det.trailing_zeros(), oracle_diff.trailing_zeros());
-                }
-
-                // The both-polarity flip walk, masked by this polarity's
-                // excitation lanes, must agree with the oracle too.
-                sim.eval_flip_detect(&good, net, &mut det_scratch);
+                // Seeded walks (used by campaigns), masked by this
+                // fault's lanes, must agree on detection and on the first
+                // detecting lane: from the site seeded with the
+                // excitation lanes, from the site seeded with a flip of
+                // every lane (both polarities at once), and from the
+                // fanout-free region's stem seeded with the lanes the
+                // fault flips it on.
                 let excite = if stuck { !good[net.index()] } else { good[net.index()] };
-                let flip = sim.detect_word(&good, &det_scratch) & excite;
-                prop_assert_eq!(flip != 0, oracle_diff != 0);
-                if oracle_diff != 0 {
-                    prop_assert_eq!(flip.trailing_zeros(), oracle_diff.trailing_zeros());
+                let both = (good[net.index()] & good[net.index()].wrapping_neg())
+                    | (!good[net.index()] & (!good[net.index()]).wrapping_neg());
+                let mut path = [excite];
+                let stem = sim.sensitize(good.as_chunks::<1>().0, net, &mut path);
+                let lowest = |m: u64| m & m.wrapping_neg();
+                for (seed, diff, exit) in [
+                    (net, excite, lowest(excite)),
+                    (net, !0, both),
+                    (stem, path[0], lowest(path[0])),
+                ] {
+                    sim.seeded_walk(&good, seed, diff, exit, &mut det_scratch);
+                    let det = sim.detect_word(&good, &det_scratch) & excite & diff;
+                    prop_assert_eq!(det != 0, oracle_diff != 0, "walk from {}", seed);
+                    if oracle_diff != 0 {
+                        prop_assert_eq!(det.trailing_zeros(), oracle_diff.trailing_zeros());
+                    }
                 }
             }
         }
@@ -137,10 +145,15 @@ proptest! {
         for net in 0..nl.num_nets() as u32 {
             let net = NetId(net);
             sim.cone_into(net, &mut cone);
+            // One walk from the fanout-free region's stem, seeded with
+            // every lane the site can flip it on, serves both polarities.
+            let mut path = [!0u64; 4];
+            let stem = sim.sensitize(&packed, net, &mut path);
+            sim.seeded_walk_wide(&packed, stem, path, &mut det);
             for stuck in [false, true] {
-                sim.eval_stuck_wide(&packed, (net, stuck), &cone, &mut wide);
+                let excite = packed[net.index()].map(|g| if stuck { !g } else { g });
+                sim.seeded_walk_wide(&packed, net, excite, &mut wide);
                 let words = wide.detect_words();
-                let mut first = None;
                 for (g, good) in goods.iter().enumerate() {
                     sim.eval_stuck(good, (net, stuck), &cone, &mut narrow);
                     for n in 0..nl.num_nets() as u32 {
@@ -156,20 +169,9 @@ proptest! {
                     }
                     let word = sim.detect_word(good, &narrow);
                     prop_assert_eq!(words[g], word, "detect word, lane group {}", g);
-                    if first.is_none() && word != 0 {
-                        first = Some((g, word.trailing_zeros()));
-                    }
-                }
-                // The campaign's group-aware accounting consumes only
-                // the earliest detecting (block, lane) pair; the wide
-                // detect walk must reproduce it exactly.
-                if sim.eval_stuck_detect_wide(&packed, (net, stuck), &mut det) {
-                    let dw = det.detect_words();
-                    let got = (0..4).find(|&g| dw[g] != 0).map(|g| (g, dw[g].trailing_zeros()));
-                    prop_assert_eq!(got.is_some(), first.is_some());
-                    if let (Some(a), Some(b)) = (got, first) {
-                        prop_assert_eq!(a, b, "first detecting (block, lane)");
-                    }
+                    // The stem-shared word is exact on every lane.
+                    let shared = excite[g] & path[g] & det.detect_words()[g];
+                    prop_assert_eq!(shared, word, "stem-shared word, lane group {}", g);
                 }
             }
         }

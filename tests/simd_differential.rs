@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use r2d3_netlist::{
-    pack_blocks, FaultCone, FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimBlock,
-    SimdKernel, WideScratch,
+    pack_blocks, FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimBlock, SimdKernel,
+    WideScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,8 +52,9 @@ fn random_netlist(seed: u64) -> Netlist {
 }
 
 /// Runs every fault under `kernel` and the scalar kernel at width `W`,
-/// asserting byte-identical detection words and net values on both the
-/// bitset row walk and the derived-cone walk.
+/// asserting byte-identical detection words and net values for walks
+/// seeded at the fault site, and identical detection words for walks
+/// seeded at its fanout-free region's stem.
 fn assert_kernel_matches_scalar<const W: usize>(
     nl: &Netlist,
     kernel: SimdKernel,
@@ -71,16 +72,16 @@ fn assert_kernel_matches_scalar<const W: usize>(
     let mut simd_sim = FaultSim::new(nl);
     prop_assert!(simd_sim.set_kernel(kernel), "{} unavailable", kernel.name());
 
-    let mut cone = FaultCone::new();
     let mut a = WideScratch::<W>::new();
     let mut b = WideScratch::<W>::new();
     for net in 0..nl.num_nets() as u32 {
         let net = NetId(net);
-        scalar_sim.cone_into(net, &mut cone);
         for stuck in [false, true] {
-            // Value-exact cone walk.
-            scalar_sim.eval_stuck_wide(&packed, (net, stuck), &cone, &mut a);
-            simd_sim.eval_stuck_wide(&packed, (net, stuck), &cone, &mut b);
+            // Value-exact walk from the site, seeded with its
+            // excitation lanes.
+            let excite = packed[net.index()].map(|g| if stuck { !g } else { g });
+            scalar_sim.seeded_walk_wide(&packed, net, excite, &mut a);
+            simd_sim.seeded_walk_wide(&packed, net, excite, &mut b);
             prop_assert_eq!(
                 a.detect_words(),
                 b.detect_words(),
@@ -102,15 +103,17 @@ fn assert_kernel_matches_scalar<const W: usize>(
                     u8::from(stuck)
                 );
             }
-            // Early-exit detection row walk: identical detection words
-            // (and thus identical first detecting block and lane).
-            let da = scalar_sim.eval_stuck_detect_wide(&packed, (net, stuck), &mut a);
-            let db = simd_sim.eval_stuck_detect_wide(&packed, (net, stuck), &mut b);
-            prop_assert_eq!(da, db, "{} W={} detect return", kernel.name(), W);
+            // Walk from the stem, seeded with the lanes the fault flips
+            // it on: identical detection words (and thus identical
+            // first detecting block and lane).
+            let mut mask = excite;
+            let stem = scalar_sim.sensitize(&packed, net, &mut mask);
+            scalar_sim.seeded_walk_wide(&packed, stem, mask, &mut a);
+            simd_sim.seeded_walk_wide(&packed, stem, mask, &mut b);
             prop_assert_eq!(
                 a.detect_words(),
                 b.detect_words(),
-                "{} W={} detect-walk words for ({}, sa{})",
+                "{} W={} stem walk words for ({}, sa{})",
                 kernel.name(),
                 W,
                 net,
