@@ -154,6 +154,20 @@ impl<S: ReliabilitySubstrate> ReliabilitySubstrate for Adversary<S> {
         window
     }
 
+    fn trace_window_since(&self, stage: StageId, n: usize, since: u64) -> Vec<StageRecord> {
+        match self.checker.get() {
+            // The tap corrupts the newest of the last `n` records whether
+            // or not it is kept, so a one-shot tap disarms even on an
+            // epoch whose window comes back empty.
+            Some(tap) if tap.stage == stage => {
+                let mut window = self.trace_window(stage, n);
+                window.retain(|record| record.cycle >= since);
+                window
+            }
+            _ => self.inner.trace_window_since(stage, n, since),
+        }
+    }
+
     fn replay_output(&self, stage: StageId, record: &StageRecord) -> u32 {
         let out = self.inner.replay_output(stage, record);
         match self.replay.get() {
@@ -262,7 +276,8 @@ impl<S: ReliabilitySubstrate> ReliabilitySubstrate for Adversary<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use r2d3_isa::kernels::gemv;
+    use crate::substrate::{NetlistSubstrate, NetlistSubstrateConfig};
+    use r2d3_isa::kernels::{gemv, trap_mix};
     use r2d3_pipeline_sim::{System3d, SystemConfig};
 
     fn system() -> Adversary<System3d> {
@@ -290,6 +305,88 @@ mod tests {
         assert_eq!(tapped[..last], clean[..last]);
         // One-shot: the next read is clean again.
         assert_eq!(sys.trace_window(stage, 4), clean);
+    }
+
+    #[test]
+    fn one_shot_tap_on_a_stale_stage_disarms_on_an_empty_window() {
+        let mut sys = system();
+        sys.run(2_000).unwrap();
+        // Move pipeline 0's EXU to a spare: its old stage records nothing
+        // in the next epoch.
+        let stale = StageId::new(0, Unit::Exu);
+        sys.unassign(0, Unit::Exu).unwrap();
+        sys.assign(0, Unit::Exu, 7).unwrap();
+        sys.run(2_000).unwrap();
+        let since = sys.now() - 2_000;
+        let clean = sys.trace_window(stale, 4);
+        assert!(!clean.is_empty() && clean.iter().all(|r| r.cycle < since));
+
+        sys.arm_checker_corrupt(stale, 0b101, false);
+        assert!(sys.trace_window_since(stale, 4, since).is_empty());
+        // The tap spent itself on the dropped newest record.
+        assert_eq!(sys.trace_window(stale, 4), clean);
+    }
+
+    /// Runs epochs that reassign a stage to a spare and then to another
+    /// pipeline, restore a checkpoint, split a run mid-window and arm a
+    /// persistent checker tap. After every epoch, for every stage, the
+    /// since-window must equal `trace_window` with the older records
+    /// dropped, for windows shorter and longer than the ring and for
+    /// `since` from zero to past `now`.
+    fn since_window_is_the_filtered_window<S: ReliabilitySubstrate>(mut sys: Adversary<S>) {
+        const EPOCH: u64 = 2_000;
+        let spare = sys.pipeline_count();
+        let checkpoint = sys.checkpoint_pipeline(0).unwrap();
+        let (mut kept, mut dropped) = (0, 0);
+        for epoch in 0..7 {
+            match epoch {
+                1 => {
+                    sys.unassign(0, Unit::Exu).unwrap();
+                    sys.assign(0, Unit::Exu, spare).unwrap();
+                }
+                2 => {
+                    sys.unassign(1, Unit::Exu).unwrap();
+                    sys.assign(1, Unit::Exu, 0).unwrap();
+                }
+                3 => sys.restore_pipeline(0, &checkpoint).unwrap(),
+                4 => sys.arm_mid_window(StageId::new(1, Unit::Lsu), 7, EPOCH / 3),
+                5 => sys.arm_checker_corrupt(StageId::new(0, Unit::Ifu), 0b11, true),
+                _ => {}
+            }
+            sys.run(EPOCH).unwrap();
+            let now = sys.now();
+            for stage in StageId::all(sys.layers()) {
+                for n in [1, 50, 10_000] {
+                    for since in [0, now - EPOCH, now - EPOCH / 2, now + 1] {
+                        let mut want = sys.trace_window(stage, n);
+                        let all = want.len();
+                        want.retain(|record| record.cycle >= since);
+                        let got = sys.trace_window_since(stage, n, since);
+                        assert_eq!(got, want, "epoch {epoch}, {stage}, n {n}, since {since}");
+                        kept += got.len();
+                        dropped += all - got.len();
+                    }
+                }
+            }
+        }
+        assert!(kept > 0 && dropped > 0, "kept {kept}, dropped {dropped}");
+    }
+
+    #[test]
+    fn since_window_is_the_filtered_window_on_both_substrates() {
+        let config = SystemConfig { pipelines: 5, trace_capacity: 300, ..Default::default() };
+        let mut sys = System3d::new(&config);
+        for p in 0..5 {
+            sys.load_program(p, trap_mix(4096, p as u64 + 1).program().clone()).unwrap();
+        }
+        since_window_is_the_filtered_window(Adversary::new(sys));
+        let config = NetlistSubstrateConfig {
+            layers: 4,
+            pipelines: 2,
+            trace_capacity: 100,
+            ..Default::default()
+        };
+        since_window_is_the_filtered_window(Adversary::new(NetlistSubstrate::new(&config)));
     }
 
     #[test]

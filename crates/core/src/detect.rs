@@ -126,8 +126,7 @@ pub fn epoch_scan_counted<S: ReliabilitySubstrate>(
             // transient would be re-detected — and re-counted by the
             // symptom history — every epoch until it scrolls out.
             let epoch_start = sys.now().saturating_sub(config.t_epoch);
-            let mut window = sys.trace_window(dut, config.t_test as usize);
-            window.retain(|record| record.cycle >= epoch_start);
+            let window = sys.trace_window_since(dut, config.t_test as usize, epoch_start);
             if window.is_empty() {
                 stats.untested += 1;
                 continue;

@@ -38,7 +38,15 @@ impl ReliabilitySubstrate for System3d {
     }
 
     fn trace_window(&self, stage: StageId, n: usize) -> Vec<StageRecord> {
-        self.stage_trace(stage).last(n)
+        self.stage_trace(stage).last_since(n, 0)
+    }
+
+    fn trace_window_since(&self, stage: StageId, n: usize, since: u64) -> Vec<StageRecord> {
+        // A stage serves one pipeline per `run`, each operation of a
+        // segment starts before the segment's target and every pipeline
+        // ends a successful `run` at or past it, so the ring's stamps
+        // never decrease.
+        self.stage_trace(stage).last_since(n, since)
     }
 
     fn replay_output(&self, stage: StageId, record: &StageRecord) -> u32 {

@@ -62,6 +62,16 @@ pub trait ReliabilitySubstrate {
     fn leftovers(&self) -> Vec<StageId>;
     /// The last `n` output records of a stage (oldest first).
     fn trace_window(&self, stage: StageId, n: usize) -> Vec<StageRecord>;
+    /// Those of the last `n` output records of a stage that are stamped at
+    /// or after cycle `since` (oldest first): the epoch scan's window,
+    /// and the only trace read it makes. The default filters
+    /// [`trace_window`](Self::trace_window); a substrate whose stamps
+    /// never decrease in push order can copy just the kept suffix.
+    fn trace_window_since(&self, stage: StageId, n: usize, since: u64) -> Vec<StageRecord> {
+        let mut window = self.trace_window(stage, n);
+        window.retain(|record| record.cycle >= since);
+        window
+    }
     /// Output `stage` produces re-executing the operation captured by
     /// `record` — the checker's redundant-side value and the TMR
     /// replay primitive. Permanent faults of `stage` manifest;

@@ -456,17 +456,15 @@ impl ReliabilitySubstrate for NetlistSubstrate {
             }
             let first = self.pipes[p].op_index;
             let last = first + ops;
-            let stages: Vec<StageId> = Unit::ALL
-                .iter()
-                .map(|&u| self.fabric.stage_for(p, u).expect("complete pipeline"))
-                .collect();
+            let stages = Unit::ALL.map(|u| self.fabric.stage_for(p, u).expect("complete pipeline"));
+            let transparent = Unit::ALL.map(|u| self.fabric.transparent(p, u));
 
             let mut op = first;
             while op < last {
                 let block = op / 64;
                 let lane0 = (op % 64) as usize;
                 let lanes = (64 - lane0).min((last - op) as usize);
-                for &stage in &stages {
+                for stage in stages {
                     let unit = stage.unit.index();
                     let good = self.good_fold(unit, block);
                     let bad = match self.health[stage.flat_index()] {
@@ -488,8 +486,13 @@ impl ReliabilitySubstrate for NetlistSubstrate {
                         // The value the consumer (and the snooped trace)
                         // sees rides the vertical TSV bundle: link faults
                         // and mux-select skew corrupt it in flight, after
-                        // the stage's own computation.
-                        let delivered = self.fabric.deliver(p, stage.unit, actual);
+                        // the stage's own computation. A transparent slot
+                        // delivers it unchanged.
+                        let delivered = if transparent[unit] {
+                            actual
+                        } else {
+                            self.fabric.deliver(p, stage.unit, actual)
+                        };
                         let cycle = start_now + (op - first + k as u64 + 1) * self.cycles_per_op;
                         self.traces[stage.flat_index()].push(StageRecord {
                             cycle,
@@ -520,7 +523,13 @@ impl ReliabilitySubstrate for NetlistSubstrate {
     }
 
     fn trace_window(&self, stage: StageId, n: usize) -> Vec<StageRecord> {
-        self.traces[stage.flat_index()].last(n)
+        self.traces[stage.flat_index()].last_since(n, 0)
+    }
+
+    fn trace_window_since(&self, stage: StageId, n: usize, since: u64) -> Vec<StageRecord> {
+        // A `run` stamps its operations after its start, each later than
+        // the last, and past every stamp of the runs before it.
+        self.traces[stage.flat_index()].last_since(n, since)
     }
 
     fn replay_output(&self, stage: StageId, record: &StageRecord) -> u32 {

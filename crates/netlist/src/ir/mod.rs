@@ -39,7 +39,7 @@ mod validate;
 
 pub use level::{analyze_levels, LevelMap};
 pub use passes::{rewrite, PassManager, RewriteOutcome, RewriteStats};
-pub use text::{text_emit, text_parse};
+pub use text::{text_emit, text_parse, MAX_TEXT_NETS};
 pub use validate::validate;
 
 use crate::netlist::{GateKind, NetId};

@@ -28,6 +28,15 @@ use std::fmt::Write as _;
 /// Magic first line of the text format.
 const HEADER: &str = "r2d3-netlist v1";
 
+/// Largest `nets` or `inputs` count [`text_parse`] accepts: 2^22 =
+/// 4,194,304. Validation and the simulators size per-net state from
+/// these counts, whatever gates the file lists, so a larger count is
+/// refused as soon as its line is read. A valid netlist has
+/// `nets == inputs + gates`; the limit is about 530 times the
+/// 7,857-net core-level chain, and a 64 MiB core file has no room to
+/// list that many gate lines.
+pub const MAX_TEXT_NETS: usize = 1 << 22;
+
 fn kind_name(kind: GateKind) -> &'static str {
     match kind {
         GateKind::Buf => "buf",
@@ -92,8 +101,9 @@ pub fn text_emit(netlist: &Netlist) -> String {
 /// # Errors
 ///
 /// Returns [`IrError::Text`] with a 1-based line number for syntax
-/// problems, or the structural [`IrError`] from [`validate`] if the
-/// parsed netlist violates IR invariants.
+/// problems or a `nets` or `inputs` count above [`MAX_TEXT_NETS`], or
+/// the structural [`IrError`] from [`validate`] if the parsed netlist
+/// violates IR invariants.
 pub fn text_parse(text: &str) -> Result<Netlist, IrError> {
     let err = |line: usize, message: String| IrError::Text { line, message };
     let mut lines = text.lines().enumerate();
@@ -136,6 +146,12 @@ pub fn text_parse(text: &str) -> Result<Netlist, IrError> {
                     .ok_or_else(|| err(line, format!("`{keyword}` needs a count")))?
                     .parse()
                     .map_err(|_| err(line, format!("invalid `{keyword}` count")))?;
+                if value > MAX_TEXT_NETS {
+                    return Err(err(
+                        line,
+                        format!("`{keyword}` count {value} is above the limit of {MAX_TEXT_NETS}"),
+                    ));
+                }
                 let slot = if keyword == "nets" { &mut num_nets } else { &mut num_inputs };
                 if slot.replace(value).is_some() {
                     return Err(err(line, format!("duplicate `{keyword}` line")));
@@ -268,6 +284,24 @@ mod tests {
     fn parse_rejects_missing_end() {
         let text = "r2d3-netlist v1\nnets 1\ninputs 1\noutput n0\n";
         assert!(matches!(text_parse(text), Err(IrError::Text { .. })));
+    }
+
+    #[test]
+    fn parse_refuses_counts_above_the_limit() {
+        // Refused before anything is sized from the count: the parser
+        // never allocates for the declared nets.
+        let text = "r2d3-netlist v1\nnets 1000000000000000\ninputs 0\nend\n";
+        match text_parse(text) {
+            Err(IrError::Text { line: 2, message }) => {
+                assert!(message.contains("4194304"), "{message}");
+            }
+            other => panic!("expected a line-2 text error, got {other:?}"),
+        }
+        let text = format!("r2d3-netlist v1\nnets 1\ninputs {}\nend\n", MAX_TEXT_NETS + 1);
+        assert!(matches!(text_parse(&text), Err(IrError::Text { line: 3, .. })));
+        // The limit itself is a count the parser accepts.
+        let text = format!("r2d3-netlist v1\nnets {MAX_TEXT_NETS}\ninputs 1\nend\n");
+        assert!(!matches!(text_parse(&text), Err(IrError::Text { .. })));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod yosys_json;
 pub use builder::NetlistBuilder;
 pub use ir::{
     analyze_levels, rewrite, text_emit, text_parse, IrError, LevelMap, PassManager, RewriteOutcome,
-    RewriteStats,
+    RewriteStats, MAX_TEXT_NETS,
 };
 pub use netlist::{
     compose_chain, compose_chain_with, ComposeOptions, Gate, GateKind, NetId, Netlist,

@@ -309,6 +309,28 @@ impl Fabric {
         out
     }
 
+    /// Whether [`deliver`](Self::deliver) on `pipe`'s `unit` slot passes
+    /// every value through and changes no state: no link fault is armed
+    /// on the serving stage's bundle (an armed one counts its transfers
+    /// even when it corrupts none) and no select upset points away from
+    /// the assignment. Faults, upsets and assignments change only between
+    /// `run` calls, so a substrate resolves this once per segment and
+    /// skips `deliver` for a transparent slot.
+    #[must_use]
+    pub fn transparent(&self, pipe: usize, unit: Unit) -> bool {
+        let u = unit.index();
+        let Some(layer) = self.assignment.get(pipe).and_then(|row| row[u]) else {
+            return true;
+        };
+        let armed = self.link_faults.get(layer).is_some_and(|row| row[u].is_some());
+        let upset = self
+            .route_override
+            .get(pipe)
+            .and_then(|row| row[u])
+            .is_some_and(|wrong| wrong != layer);
+        !armed && !upset
+    }
+
     /// Whether `pipe` has all five unit slots mapped.
     #[must_use]
     pub fn is_complete(&self, pipe: usize) -> bool {
@@ -432,6 +454,56 @@ mod tests {
         f.inject_link_fault(1, Unit::Ifu, LinkFault::BurstOnce { mask: 0xFF, ops: 2 }).unwrap();
         let upset = (0..5).filter(|_| f.deliver(1, Unit::Ifu, 0) != 0).count();
         assert_eq!(upset, 2, "burst corrupts exactly `ops` transfers, then clears");
+    }
+
+    /// `transparent` must be false exactly when `deliver` could change a
+    /// value or a link's transfer count: one `deliver` leaves both the
+    /// value and the fabric as they were if and only if it is true.
+    fn check_transparency(f: &mut Fabric, pipe: usize, unit: Unit, expect: bool) {
+        assert_eq!(f.transparent(pipe, unit), expect, "pipe {pipe} {unit}");
+        let before = f.clone();
+        let unchanged = f.deliver(pipe, unit, 0x1234_5678) == 0x1234_5678 && *f == before;
+        assert_eq!(unchanged, expect, "pipe {pipe} {unit}: deliver disagrees");
+    }
+
+    #[test]
+    fn transparency_follows_what_deliver_can_change() {
+        let mut f = Fabric::identity(4, 3);
+        for unit in Unit::ALL {
+            check_transparency(&mut f, 1, unit, true);
+        }
+        let faults = [
+            LinkFault::Stuck { mask: 0xF, pattern: 0x5 },
+            LinkFault::Bridge { other_layer: 2, mask: 0x3 },
+            LinkFault::Crosstalk { aggressor_layer: 2, mask: 0x1, period: 3, phase: 1 },
+            LinkFault::BurstOnce { mask: 0xFF, ops: 1 },
+        ];
+        for fault in faults {
+            let mut f = Fabric::identity(4, 3);
+            f.inject_link_fault(1, Unit::Lsu, fault).unwrap();
+            check_transparency(&mut f, 1, Unit::Lsu, false);
+            // Only the armed bundle's slot loses transparency.
+            check_transparency(&mut f, 1, Unit::Exu, true);
+            check_transparency(&mut f, 0, Unit::Lsu, true);
+        }
+        // A depleted burst corrupts nothing, but still counts transfers.
+        let mut f = Fabric::identity(4, 3);
+        f.inject_link_fault(1, Unit::Ifu, LinkFault::BurstOnce { mask: 0xFF, ops: 1 }).unwrap();
+        assert_ne!(f.deliver(1, Unit::Ifu, 0), 0);
+        let before = f.clone();
+        assert_eq!(f.deliver(1, Unit::Ifu, 0), 0);
+        assert_ne!(f, before, "the depleted burst's tick moved");
+        check_transparency(&mut f, 1, Unit::Ifu, false);
+        // An upset to another layer skews every transfer.
+        let mut f = Fabric::identity(4, 3);
+        f.override_route(2, Unit::Tlu, 3).unwrap();
+        check_transparency(&mut f, 2, Unit::Tlu, false);
+        // An upset that reads the assigned layer anyway changes nothing.
+        f.override_route(2, Unit::Tlu, 2).unwrap();
+        check_transparency(&mut f, 2, Unit::Tlu, true);
+        // An unmapped slot delivers its value unchanged.
+        f.unassign(0, Unit::Ffu).unwrap();
+        check_transparency(&mut f, 0, Unit::Ffu, true);
     }
 
     #[test]

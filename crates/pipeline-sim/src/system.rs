@@ -5,7 +5,7 @@ use crate::fabric::Fabric;
 use crate::pipeline::{LogicalPipeline, StageEffects, TimingParams};
 use crate::stage::{FaultEffect, StageHealth, StageId};
 use crate::stats::ActivityStats;
-use crate::trace::TraceRing;
+use crate::trace::{StageRecord, TraceRing};
 use crate::SimError;
 use r2d3_isa::{Program, Unit};
 
@@ -249,71 +249,70 @@ impl System3d {
     }
 
     fn run_pipe_to(&mut self, pipe: usize, target: u64) -> Result<(), SimError> {
-        // Resolve the fabric once per segment; reconfigurations happen
-        // between `run` calls (epoch boundaries), matching the paper.
-        let mut stage_of = [None; 5];
-        for unit in Unit::ALL {
-            stage_of[unit.index()] = self.fabric.stage_for(pipe, unit);
+        // Resolve the segment's state once: the serving stages, their
+        // permanent effects, their pending transients and which slots the
+        // fabric passes through unchanged. Reconfiguration, repair and
+        // injection happen between `run` calls (epoch boundaries),
+        // matching the paper, so none of it changes inside a segment.
+        let slots = Unit::ALL.map(|unit| self.fabric.stage_for(pipe, unit));
+        let p = &mut self.pipelines[pipe];
+        if slots.contains(&None) || !p.runnable() {
+            // Incomplete, halted or crashed: idle, and leave any transient
+            // armed on the stages pending.
+            p.idle_to(target);
+            return Ok(());
         }
-        let complete = stage_of.iter().all(Option::is_some);
+        let stages = slots.map(|stage| stage.expect("complete pipeline"));
+        let mut effects = StageEffects::none();
+        let mut transparent = [true; 5];
+        for unit in Unit::ALL {
+            let u = unit.index();
+            let flat = stages[u].flat_index();
+            effects.permanent[u] = self.health[flat].effect();
+            effects.transient[u] = self.pending_transients[flat].take();
+            transparent[u] = self.fabric.transparent(pipe, unit);
+        }
+
         let mut link_corrupt = false;
-
-        loop {
-            let p = &mut self.pipelines[pipe];
-            if p.cycles() >= target {
-                break;
-            }
-            if !complete || !p.runnable() {
-                p.idle_to(target);
-                break;
-            }
-
-            let mut effects = StageEffects::none();
-            for unit in Unit::ALL {
-                let sid = stage_of[unit.index()].expect("complete pipeline");
-                effects.permanent[unit.index()] = self.health[sid.flat_index()].effect();
-                effects.transient[unit.index()] = self.pending_transients[sid.flat_index()].take();
-            }
-
-            let traces = &mut self.traces;
-            let stats = &mut self.stats;
-            let fabric = &mut self.fabric;
-            let result = p.step(
-                &mut effects,
-                &mut self.l2,
-                &self.config.hierarchy,
-                |unit, mut rec| {
-                    let sid = stage_of[unit.index()].expect("complete pipeline");
-                    // Every stage output crosses the vertical interconnect
-                    // before the consumer (and the trace ring, which snoops
-                    // the delivered bundle) sees it.
-                    let delivered = fabric.deliver(pipe, unit, rec.actual_output);
-                    if delivered != rec.actual_output {
-                        rec.actual_output = delivered;
-                        link_corrupt = true;
-                    }
-                    traces[sid.flat_index()].push(rec);
-                },
-                |unit, busy| {
-                    let sid = stage_of[unit.index()].expect("complete pipeline");
-                    stats.add_busy(sid, busy);
-                },
-            );
-
-            // Return unconsumed transients to the pending pool.
-            for unit in Unit::ALL {
-                if let Some(e) = effects.transient[unit.index()] {
-                    let sid = stage_of[unit.index()].expect("complete pipeline");
-                    self.pending_transients[sid.flat_index()] = Some(e);
+        let traces = &mut self.traces;
+        let stats = &mut self.stats;
+        let fabric = &mut self.fabric;
+        let mut record = |unit: Unit, mut rec: StageRecord| {
+            let u = unit.index();
+            // Every stage output crosses the vertical interconnect before
+            // the consumer (and the trace ring, which snoops the delivered
+            // bundle) sees it; a transparent slot delivers it unchanged.
+            if !transparent[u] {
+                let delivered = fabric.deliver(pipe, unit, rec.actual_output);
+                if delivered != rec.actual_output {
+                    rec.actual_output = delivered;
+                    link_corrupt = true;
                 }
             }
-            result?;
+            traces[stages[u].flat_index()].push(rec);
+        };
+        let mut busy = |unit: Unit, cycles| stats.add_busy(stages[unit.index()], cycles);
+        let mut result = Ok(());
+        while result.is_ok() && p.cycles() < target && p.runnable() {
+            result = p
+                .step(&mut effects, &mut self.l2, &self.config.hierarchy, &mut record, &mut busy)
+                .map(drop);
         }
+
+        // Return unconsumed transients to the pending pool.
+        for (stage, transient) in stages.iter().zip(effects.transient) {
+            if transient.is_some() {
+                self.pending_transients[stage.flat_index()] = transient;
+            }
+        }
+        result?;
+        // A pipeline that halted or crashed idles out the segment.
+        p.idle_to(target);
         if link_corrupt {
             // The consumer latched corrupted bundles: downstream
             // architectural state is poisoned even though every stage
             // computed correctly.
-            self.pipelines[pipe].mark_tainted();
+            p.mark_tainted();
         }
         Ok(())
     }
@@ -453,6 +452,66 @@ mod tests {
         assert!(sys.pipeline(2).unwrap().tainted(), "consumer state is poisoned");
         // The stage itself is healthy: other pipelines are unaffected.
         assert_eq!(sys.health(StageId::new(2, Unit::Exu)), StageHealth::Healthy);
+    }
+
+    /// A transient that always corrupts an EXU value: GEMV's index
+    /// arithmetic never sets bit 30.
+    const UPSET: FaultEffect = FaultEffect { bit: 30, stuck: true };
+
+    /// Pipeline 0 running `program`, with `UPSET` armed on its EXU.
+    fn armed_with(program: Program) -> System3d {
+        let mut sys = System3d::new(&SystemConfig::default());
+        sys.load_program(0, program).unwrap();
+        sys.inject_transient(StageId::new(0, Unit::Exu), UPSET).unwrap();
+        sys
+    }
+
+    /// Checks that the transient armed on pipeline 0's EXU is still
+    /// pending, then runs GEMV there and checks that it fired exactly
+    /// once: on the EXU's first record and on no other.
+    fn fires_once_in_a_later_segment(sys: &mut System3d) {
+        let exu = StageId::new(0, Unit::Exu);
+        assert_eq!(sys.pending_transients[exu.flat_index()], Some(UPSET));
+        assert!(sys.stage_trace(exu).is_empty());
+        sys.load_program(0, gemv(6, 6, 9).program().clone()).unwrap();
+        sys.run(100_000).unwrap();
+        assert_eq!(sys.pending_transients[exu.flat_index()], None);
+        let trace: Vec<_> = sys.stage_trace(exu).iter().copied().collect();
+        assert_eq!(trace[0].actual_output, UPSET.apply(trace[0].golden_output));
+        assert_ne!(trace[0].actual_output, trace[0].golden_output);
+        assert!(trace[1..].iter().all(|r| r.actual_output == r.golden_output));
+    }
+
+    #[test]
+    fn transient_waits_out_an_incomplete_pipeline() {
+        let mut sys = armed_with(gemv(6, 6, 9).program().clone());
+        sys.fabric_mut().unassign(0, Unit::Lsu).unwrap();
+        sys.run(10_000).unwrap();
+        sys.fabric_mut().assign(0, Unit::Lsu, 0).unwrap();
+        fires_once_in_a_later_segment(&mut sys);
+    }
+
+    #[test]
+    fn transient_waits_out_a_halt_mid_segment() {
+        let mut a = r2d3_isa::asm::Asm::new();
+        a.nop();
+        a.halt();
+        let mut sys = armed_with(a.assemble().unwrap());
+        sys.run(10_000).unwrap();
+        assert!(sys.pipeline(0).unwrap().halted());
+        fires_once_in_a_later_segment(&mut sys);
+    }
+
+    #[test]
+    fn transient_waits_out_a_sim_error() {
+        // An unencodable jump is a simulator error when fetched, whatever
+        // effects are armed.
+        let mut a = r2d3_isa::asm::Asm::new();
+        a.nop();
+        a.emit(r2d3_isa::Instruction::Jal { rd: r2d3_isa::Reg::R0, offset: i32::MAX });
+        let mut sys = armed_with(a.assemble().unwrap());
+        assert!(matches!(sys.run(10_000), Err(SimError::Isa(_))));
+        fires_once_in_a_later_segment(&mut sys);
     }
 
     #[test]

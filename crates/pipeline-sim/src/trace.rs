@@ -46,7 +46,15 @@ impl TraceRing {
     }
 
     /// Appends a record, evicting the oldest when full.
+    ///
+    /// Stamps must not decrease in push order (debug-asserted):
+    /// [`last_since`](Self::last_since) relies on it.
     pub fn push(&mut self, record: StageRecord) {
+        debug_assert!(
+            self.newest().is_none_or(|newest| newest.cycle <= record.cycle),
+            "trace stamps must not decrease: {record:?} after {:?}",
+            self.newest()
+        );
         if self.records.len() < self.capacity {
             self.records.push(record);
         } else {
@@ -91,19 +99,34 @@ impl TraceRing {
         older.iter().chain(newer)
     }
 
-    /// The most recent `n` records, oldest first.
+    /// The most recently pushed record.
+    fn newest(&self) -> Option<&StageRecord> {
+        let index = if self.next == 0 { self.records.len().checked_sub(1)? } else { self.next - 1 };
+        self.records.get(index)
+    }
+
+    /// The most recent `n` records stamped at or after cycle `since`,
+    /// oldest first.
+    ///
+    /// Stamps never decrease in push order, so the kept records are a
+    /// suffix of the newest `n`, and each storage half of those is sorted
+    /// by stamp: a binary search in each finds where its part of the
+    /// suffix starts, and only the suffix is copied, into a `Vec` of
+    /// exactly its length.
     #[must_use]
-    pub fn last(&self, n: usize) -> Vec<StageRecord> {
+    pub fn last_since(&self, n: usize, since: u64) -> Vec<StageRecord> {
         let (older, newer) = self.halves();
         let take = n.min(self.records.len());
-        let mut out = Vec::with_capacity(take);
-        match take.checked_sub(newer.len()) {
-            None => out.extend_from_slice(&newer[newer.len() - take..]),
-            Some(from_older) => {
-                out.extend_from_slice(&older[older.len() - from_older..]);
-                out.extend_from_slice(newer);
-            }
-        }
+        let (older, newer) = match take.checked_sub(newer.len()) {
+            None => (&older[..0], &newer[newer.len() - take..]),
+            Some(from_older) => (&older[older.len() - from_older..], newer),
+        };
+        let before = |record: &StageRecord| record.cycle < since;
+        let older = &older[older.partition_point(before)..];
+        let newer = &newer[newer.partition_point(before)..];
+        let mut out = Vec::with_capacity(older.len() + newer.len());
+        out.extend_from_slice(older);
+        out.extend_from_slice(newer);
         out
     }
 
@@ -162,13 +185,24 @@ mod tests {
     }
 
     #[test]
-    fn last_n_clamps() {
+    fn last_since_clamps_and_filters() {
         let mut r = TraceRing::new(4);
         for c in 0..2 {
             r.push(rec(c));
         }
-        assert_eq!(r.last(10).len(), 2);
-        assert_eq!(r.last(1)[0].cycle, 1);
+        assert_eq!(r.last_since(10, 0).len(), 2);
+        assert_eq!(r.last_since(1, 0)[0].cycle, 1);
+        assert_eq!(r.last_since(10, 1), vec![rec(1)]);
+        assert!(r.last_since(10, 2).is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "trace stamps must not decrease")]
+    fn decreasing_stamp_is_refused() {
+        let mut r = TraceRing::new(4);
+        r.push(rec(5));
+        r.push(rec(4));
     }
 
     #[test]
@@ -192,34 +226,38 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn last_equals_the_tail_of_iter(
+        fn last_since_equals_the_filtered_tail_of_iter(
             capacity in 1usize..40,
-            before_clear in 0u64..100,
-            pushes in 0u64..100,
-            clear in any::<bool>(),
+            steps in proptest::collection::vec(0u64..4, 0..100),
+            clear_at in 0usize..120,
             n in 0usize..50,
+            since_pick in 0u64..1000,
         ) {
-            // `pushed` is everything pushed since the last clear: the ring
-            // must hold its newest `capacity` records.
+            // Stamps start at 5 and rise by 0–3 a push, ties included;
+            // `since` falls below every stamp, between them or above
+            // them all. `clear_at` past the last push means no clear;
+            // `pushed` is everything pushed since the last clear, and the
+            // ring must hold its newest `capacity` records.
             let mut r = TraceRing::new(capacity);
             let mut pushed = Vec::new();
-            for c in 0..before_clear {
-                r.push(rec(c));
-                pushed.push(rec(c));
-            }
-            if clear {
-                r.clear();
-                pushed.clear();
-            }
-            for c in 0..pushes {
-                r.push(rec(1000 + c));
-                pushed.push(rec(1000 + c));
+            let mut cycle = 5;
+            for (i, step) in steps.iter().enumerate() {
+                if i == clear_at {
+                    r.clear();
+                    pushed.clear();
+                }
+                cycle += step;
+                r.push(rec(cycle));
+                pushed.push(rec(cycle));
             }
             let held: Vec<StageRecord> = r.iter().copied().collect();
             prop_assert_eq!(&held[..], &pushed[pushed.len().saturating_sub(capacity)..]);
+            let since = since_pick % (cycle + 3);
             let take = n.min(r.len());
-            let tail: Vec<StageRecord> = r.iter().skip(r.len() - take).copied().collect();
-            prop_assert_eq!(r.last(n), tail);
+            let tail = || r.iter().skip(r.len() - take).copied();
+            let kept: Vec<StageRecord> = tail().filter(|x| x.cycle >= since).collect();
+            prop_assert_eq!(r.last_since(n, since), kept);
+            prop_assert_eq!(r.last_since(n, 0), tail().collect::<Vec<_>>());
         }
     }
 
