@@ -32,6 +32,12 @@ const GOLDEN: u64 = 0xa3bc_bfe2_14c7_08f6;
 /// SOR-solved loop, and unchanged by the exact response.
 const TRAJECTORIES: u64 = 0x1957_c1c4_199d_6b9e;
 
+/// FNV-1a-64 of every value but the forward MTTF: the six other series
+/// and the month-0 hot-layer map of every outcome below. Forward MTTF
+/// feeds nothing back into the loop, so a change to how it is computed
+/// moves [`GOLDEN`] and leaves this constant alone.
+const WITHOUT_MTTF: u64 = 0xbae6_eaf0_b179_fd37;
+
 /// Byte-wise FNV-1a-64 over little-endian words.
 struct Fnv(u64);
 
@@ -61,7 +67,9 @@ fn quick(policy: PolicyKind) -> LifetimeConfig {
     }
 }
 
-fn fold(out: &LifetimeOutcome, h: &mut Fnv) {
+/// Folds every value of `out` into `h`, and every value but the forward
+/// MTTF into `without_mttf`.
+fn fold(out: &LifetimeOutcome, h: &mut Fnv, without_mttf: &mut Fnv) {
     let s = &out.series;
     for values in [
         &s.months,
@@ -74,6 +82,9 @@ fn fold(out: &LifetimeOutcome, h: &mut Fnv) {
         &out.initial_hot_layer_map,
     ] {
         h.floats(values);
+        if !std::ptr::eq(values, &s.mttf_months) {
+            without_mttf.floats(values);
+        }
     }
 }
 
@@ -95,10 +106,11 @@ fn every_lifetime_value_matches_the_golden_digest() {
 
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut trajectories = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut without_mttf = Fnv(0xcbf2_9ce4_8422_2325);
     let outcomes: Vec<LifetimeOutcome> =
         runs.into_iter().map(|cfg| LifetimeSim::new(cfg).run().unwrap()).collect();
     for out in &outcomes {
-        fold(out, &mut h);
+        fold(out, &mut h, &mut without_mttf);
         trajectories.floats(&out.series.norm_ipc);
         trajectories.floats(&out.series.active_pipelines);
     }
@@ -114,6 +126,11 @@ fn every_lifetime_value_matches_the_golden_digest() {
         trajectories.0, TRAJECTORIES,
         "fault trajectories moved: digest {:#018x}",
         trajectories.0
+    );
+    assert_eq!(
+        without_mttf.0, WITHOUT_MTTF,
+        "lifetime values other than forward MTTF moved: digest {:#018x}",
+        without_mttf.0
     );
     assert_eq!(h.0, GOLDEN, "lifetime values moved: digest {:#018x}", h.0);
 }
