@@ -3,8 +3,8 @@
 //! Wearout models for the R2D3 reproduction.
 //!
 //! The paper evaluates lifetime with an NBTI-based ΔVth model plus a
-//! divide-and-conquer Monte-Carlo MTTF methodology (JEP122, \[28\] in the
-//! paper). This crate provides the corresponding models:
+//! divide-and-conquer MTTF methodology (JEP122, \[28\] in the paper).
+//! This crate provides the corresponding models:
 //!
 //! * [`nbti`] — long-term negative-bias-temperature-instability ΔVth
 //!   accumulation with equivalent-stress-time bookkeeping, duty-cycle
@@ -13,9 +13,10 @@
 //!   exploit),
 //! * [`em`] — Black's-equation electromigration MTTF (a secondary
 //!   mechanism, used in an ablation),
-//! * [`mttf`] — Monte-Carlo system MTTF: per-stage failure times sampled
-//!   from aging-dependent hazard rates, walked against a caller-supplied
-//!   system-alive predicate (pipeline formability in `r2d3-core`),
+//! * [`mttf`] — system MTTF from aging-dependent per-stage hazard rates:
+//!   exact for groups in series (the pipeline-formability structures of
+//!   `r2d3-core`), and a Monte-Carlo reference walked against any
+//!   system-alive predicate,
 //! * [`delay`] — alpha-power-law frequency degradation as a function of
 //!   ΔVth.
 //!
@@ -46,7 +47,7 @@ pub use avs::{avs_trajectory, AvsParams, AvsPoint, AvsPolicy};
 pub use delay::frequency_factor;
 pub use em::EmModel;
 pub use jep122::{CompositeModel, CyclingModel, HciModel, OperatingPoint, TddbModel};
-pub use mttf::{mttf_monte_carlo, mttf_of_draws, mttf_of_failure_times, ExpDraws, MttfConfig};
+pub use mttf::{mttf_exact, mttf_monte_carlo, MttfConfig};
 pub use nbti::{NbtiModel, NbtiParams, NbtiState};
 
 /// Boltzmann constant in eV/K.

@@ -23,7 +23,6 @@ fn main() {
         let mut cfg = quick_lifetime_config(policy, KernelKind::Gemm);
         cfg.months = 1;
         cfg.replicas = 1;
-        cfg.mttf_trials = 10;
         let out = LifetimeSim::new(cfg).run().expect("lifetime sim");
         temps.push((policy, out.series.hottest_layer_temp[0]));
     }

@@ -298,7 +298,6 @@ fn lifetime_report(json: &mut String) {
         months,
         replicas,
         threads,
-        mttf_trials: 100,
         grid: GridConfig { nx: 8, ny: 6, ..Default::default() },
         ..LifetimeConfig::new(
             PolicyKind::Pro,

@@ -118,7 +118,6 @@ fn lifetime_smoke() {
         months: 12,
         replicas: 4,
         threads,
-        mttf_trials: 50,
         grid: GridConfig { nx: 8, ny: 6, ..Default::default() },
         ..LifetimeConfig::new(
             PolicyKind::Pro,

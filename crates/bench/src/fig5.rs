@@ -29,7 +29,6 @@ impl Fig5Results {
 pub fn quick_lifetime_config(policy: PolicyKind, workload: KernelKind) -> LifetimeConfig {
     LifetimeConfig {
         replicas: 8,
-        mttf_trials: 300,
         grid: GridConfig { nx: 8, ny: 6, ..Default::default() },
         ..LifetimeConfig::new(policy, workload.core_demand_fraction(), workload.activity_weight())
     }
@@ -82,7 +81,6 @@ mod tests {
             let mut cfg = quick_lifetime_config(policy, KernelKind::Gemm);
             cfg.months = 18;
             cfg.replicas = 2;
-            cfg.mttf_trials = 50;
             cfg.reliability.base_rate_per_month = 0.0;
             results.push(LifetimeSim::new(cfg).run().unwrap());
         }

@@ -306,7 +306,6 @@ impl LifetimeSpec {
         LifetimeConfig {
             months: self.months,
             replicas: LIFETIME_REPLICAS,
-            mttf_trials: 200,
             seed: self.seed,
             grid: GridConfig { nx: 8, ny: 6, ..Default::default() },
             ..LifetimeConfig::new(

@@ -353,7 +353,6 @@ fn torture_lifetime(plan: &FaultPlan, schedule: u64, tally: &mut Tally) -> Resul
         months: 2,
         replicas: 1,
         threads: 1,
-        mttf_trials: 16,
         seed: splitmix64(plan.seed ^ 0x11FE) | 1,
         grid: GridConfig { nx: 6, ny: 4, ..Default::default() },
         ..LifetimeConfig::new(PolicyKind::Pro, 0.75, 0.85)

@@ -4,9 +4,9 @@
 //! conquer methodology chains: the policy's duty assignment → the power
 //! map → the HotSpot-style grid's steady state → NBTI ΔVth
 //! accumulation → stochastic permanent-fault arrival → pipeline
-//! re-formation (repair) → throughput. Each monthly state also yields a
-//! forward Monte-Carlo MTTF estimate (Fig. 5(b)) from the instantaneous
-//! per-stage hazard rates.
+//! re-formation (repair) → throughput. Each monthly state also yields an
+//! exact forward MTTF (Fig. 5(b)) from the instantaneous per-stage hazard
+//! rates.
 //!
 //! The grid is linear with constant conductances, so a run solves it
 //! once: [`SteadyResponse`] maps the month's block powers to exact
@@ -20,13 +20,11 @@
 
 use crate::activity::{pro_layer_weights, weighted_fill};
 use crate::policy::PolicyKind;
-use crate::repair::{
-    core_level_failure_time, core_level_formable, stage_level_failure_time, stage_level_formable,
-};
+use crate::repair::{core_level_formable, stage_level_formable};
 use crate::snapshot::{self, SnapshotError};
 use crate::substrate::ReliabilitySubstrate;
 use crate::EngineError;
-use r2d3_aging::mttf::{mttf_of_draws, ExpDraws, MttfConfig};
+use r2d3_aging::mttf::mttf_exact;
 use r2d3_aging::nbti::{NbtiModel, NbtiParams, NbtiState};
 use r2d3_aging::{kelvin, BOLTZMANN_EV, SECONDS_PER_MONTH};
 use r2d3_isa::Unit;
@@ -40,7 +38,12 @@ use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::path::Path;
 
-/// Which system-failure criterion the forward-MTTF Monte Carlo uses.
+/// Forward MTTF credited to a stack that never fails (every unit column,
+/// or the set of intact cores, keeps the criterion's level of stages or
+/// cores at hazard rate 0).
+const SURVIVOR_HORIZON_MONTHS: f64 = 1e9;
+
+/// Which system-failure criterion the forward MTTF uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MttfCriterion {
     /// System fails when no complete logical pipeline can be formed
@@ -116,7 +119,10 @@ pub struct LifetimeConfig {
     pub reliability: ReliabilityParams,
     /// NBTI model parameters.
     pub nbti: NbtiParams,
-    /// Forward-MTTF Monte-Carlo trials per recorded month.
+    /// Monte-Carlo trials of perfbench's `aging.mttf_ms` probe, which
+    /// times [`r2d3_aging::mttf_monte_carlo`] with them. The lifetime loop
+    /// does not read it: its forward MTTF is exact ([`mttf_exact`]). A
+    /// benchmark change removes the field.
     pub mttf_trials: usize,
     /// Thermal grid configuration. A lifetime run reads only the grid's
     /// geometry and materials: its steady states come from an exact
@@ -222,7 +228,7 @@ pub struct LifetimeSeries {
     /// Max ΔVth (V) over *all* stages, dead or alive — the system's
     /// accumulated degradation (Fig. 5(a) metric; monotone).
     pub max_vth: Vec<f64>,
-    /// Forward MTTF estimate in months (Fig. 5(b)).
+    /// Forward MTTF in months (Fig. 5(b)).
     pub mttf_months: Vec<f64>,
     /// Throughput normalized to the fresh NoRecon system (Fig. 5(c)).
     pub norm_ipc: Vec<f64>,
@@ -540,10 +546,10 @@ impl LifetimeSim {
     /// Runs all replicas and returns the averaged outcome.
     ///
     /// Replicas run in parallel over [`LifetimeConfig::threads`] workers.
-    /// Each replica draws its faults from its own deterministic seed, the
-    /// forward-MTTF draws depend only on the seed and the month, and the
-    /// per-replica series are accumulated in replica order, so the
-    /// averaged outcome is bit-identical for any thread count.
+    /// Each replica draws its faults from its own deterministic seed and
+    /// shares nothing with the others, and the per-replica series are
+    /// accumulated in replica order, so the averaged outcome is
+    /// bit-identical for any thread count.
     ///
     /// # Errors
     ///
@@ -606,15 +612,12 @@ impl LifetimeSim {
         Ok(SteadyResponse::new(&grid)?)
     }
 
-    /// Steps every replica of `chunk` through all months, month by month.
-    /// The replicas of a month read one stream of forward-MTTF draws, so
-    /// each draw and its logarithm are computed once per chunk, not once
-    /// per replica.
+    /// Steps every replica of `chunk` through all months, one replica
+    /// after another.
     fn step_chunk(&self, chunk: &mut [ReplicaState], response: &SteadyResponse) {
-        for month in 0..self.config.months {
-            let mut draws = ExpDraws::new(self.mttf_config(month).seed);
-            for rs in chunk.iter_mut() {
-                self.step_month(rs, response, &mut draws);
+        for rs in chunk {
+            while rs.month < self.config.months {
+                self.step_month(rs, response);
             }
         }
     }
@@ -684,8 +687,7 @@ impl LifetimeSim {
 
         loop {
             while live.month < cfg.months {
-                let mut draws = ExpDraws::new(self.mttf_config(live.month).seed);
-                self.step_month(&mut live, &response, &mut draws);
+                self.step_month(&mut live, &response);
                 let portable = LifetimeRunState::capture(&cursor, &live, digest);
                 if observe(&portable)?.is_break() {
                     return Ok(None);
@@ -711,19 +713,13 @@ impl LifetimeSim {
         }))
     }
 
-    /// Advances one replica by one month, reading forward-MTTF values from
-    /// `draws`, the month's stream, and returns the month's block
+    /// Advances one replica by one month and returns the month's block
     /// temperatures (°C, stage order). The whole monthly co-sim loop lives
     /// here so the parallel sweep ([`run`](LifetimeSim::run)) and the
     /// durable resumable runner ([`run_durable`](LifetimeSim::run_durable))
     /// execute the exact same code, which is what makes a resumed run
     /// byte-identical to an uninterrupted one.
-    fn step_month(
-        &self,
-        rs: &mut ReplicaState,
-        response: &SteadyResponse,
-        draws: &mut ExpDraws,
-    ) -> Vec<f64> {
+    fn step_month(&self, rs: &mut ReplicaState, response: &SteadyResponse) -> Vec<f64> {
         let cfg = &self.config;
         let nstages = cfg.layers * Unit::COUNT;
         let nbti = NbtiModel::new(cfg.nbti);
@@ -778,7 +774,7 @@ impl LifetimeSim {
             })
             .collect();
 
-        let mttf = self.forward_mttf(&rs.alive, &rates, formable, wanted, month, draws);
+        let mttf = self.forward_mttf(&rs.alive, &rates, formable, wanted);
         let norm_ipc = active as f64 / wanted as f64 * freq_factor;
         let hottest =
             (0..cfg.layers).map(|l| layer_mean(&temps, l)).fold(f64::NEG_INFINITY, f64::max);
@@ -953,49 +949,45 @@ impl LifetimeSim {
         rate
     }
 
-    /// Forward MTTF (months) from the current state via Monte Carlo,
-    /// reading `draws`, the stream of `month`'s [`mttf_config`](Self::mttf_config).
+    /// Exact forward MTTF (months) from the current state: the mean time
+    /// until the stages `alive` now, failing at `rates`, leave fewer than
+    /// the criterion's level of pipelines ([`MttfCriterion`]; the level is
+    /// at most `wanted`). `formable` is the policy's formable count over
+    /// `alive`.
     ///
-    /// See [`MttfCriterion`] for the failure definition; `formable` is the
-    /// policy's formable count over `alive`. The system fails when that
-    /// count drops below the criterion's level (at most `wanted`), and
-    /// each trial finds the time in closed form
-    /// ([`stage_level_failure_time`], [`core_level_failure_time`]).
-    fn forward_mttf(
-        &self,
-        alive: &[bool],
-        rates: &[f64],
-        formable: usize,
-        wanted: usize,
-        month: usize,
-        draws: &mut ExpDraws,
-    ) -> f64 {
+    /// Stage-level policies form a pipeline from any live stage of each
+    /// unit, so their stack is the five unit columns in series, each alive
+    /// while `level` of its live stages are. NoRecon keeps whole cores: one
+    /// group of the intact cores, each failing at the sum of its five
+    /// stage rates. A stack that forms nothing has failed already (0); one
+    /// that never fails is credited with [`SURVIVOR_HORIZON_MONTHS`].
+    fn forward_mttf(&self, alive: &[bool], rates: &[f64], formable: usize, wanted: usize) -> f64 {
         let cfg = &self.config;
+        if formable == 0 {
+            return 0.0;
+        }
         let level = match cfg.mttf_criterion {
             MttfCriterion::TotalLoss => 1,
             MttfCriterion::ServiceLevel => formable.min(wanted),
         };
-        if level == 0 || formable < level {
-            return 0.0;
-        }
-        let failure_time = match cfg.policy {
-            PolicyKind::NoRecon => core_level_failure_time,
-            _ => stage_level_failure_time,
-        };
-        mttf_of_draws(rates, &self.mttf_config(month), draws, |times| {
-            failure_time(cfg.layers, alive, times, level)
-        })
-    }
-
-    /// The forward-MTTF Monte Carlo of `month`. Its seed depends only on
-    /// the run's seed and the month, so its draws are common to every
-    /// replica of the run.
-    fn mttf_config(&self, month: usize) -> MttfConfig {
-        let cfg = &self.config;
-        MttfConfig {
-            trials: cfg.mttf_trials,
-            seed: cfg.seed ^ (month as u64).wrapping_mul(0x517c_c1b7),
-            survivor_horizon: 1e9,
+        let stage = |l: usize, u: Unit| StageId::new(l, u).flat_index();
+        match cfg.policy {
+            PolicyKind::NoRecon => {
+                let core_rate = |l: usize| Unit::ALL.iter().map(|&u| rates[stage(l, u)]).sum();
+                let intact = (0..cfg.layers)
+                    .filter(|&l| Unit::ALL.iter().all(|&u| alive[stage(l, u)]))
+                    .map(core_rate);
+                mttf_exact([intact], level, SURVIVOR_HORIZON_MONTHS)
+            }
+            _ => {
+                let column = |u: Unit| {
+                    (0..cfg.layers)
+                        .map(move |l| stage(l, u))
+                        .filter(|&s| alive[s])
+                        .map(|s| rates[s])
+                };
+                mttf_exact(Unit::ALL.map(column), level, SURVIVOR_HORIZON_MONTHS)
+            }
         }
     }
 
@@ -1051,7 +1043,6 @@ mod tests {
         LifetimeConfig {
             months: 24,
             replicas: 3,
-            mttf_trials: 60,
             grid: GridConfig { nx: 8, ny: 6, ..Default::default() },
             ..LifetimeConfig::new(policy, 0.75, 0.85)
         }
@@ -1093,10 +1084,9 @@ mod tests {
     #[test]
     fn thread_count_is_bit_identical() {
         // Every worker count must produce the exact same averaged series:
-        // deterministic per-replica seeds, forward-MTTF draws that depend
-        // only on the month, and replica-order accumulation. Seven
-        // replicas on 1, 2, 3, 4 and 7 workers run in chunks of 7, 4, 3,
-        // 2 and 1, and all but the first and last leave a short final
+        // deterministic per-replica seeds and replica-order accumulation.
+        // Seven replicas on 1, 2, 3, 4 and 7 workers run in chunks of 7,
+        // 4, 3, 2 and 1, and all but the first and last leave a short final
         // chunk. `run_on` does not clamp to the host's cores, so every
         // chunk size runs on any host.
         let mut cfg = quick_config(PolicyKind::Static);
@@ -1180,15 +1170,118 @@ mod tests {
     #[test]
     fn mttf_declines_with_age() {
         // Strong ΔVth acceleration so 24 months of wear dominates the
-        // Monte-Carlo noise of the forward-MTTF estimate.
+        // replicas' fault noise.
         let mut cfg = quick_config(PolicyKind::Static);
         cfg.reliability.vth_accel_scale = 0.015;
-        cfg.mttf_trials = 200;
         let out = LifetimeSim::new(cfg).run().unwrap();
         let head: f64 = out.series.mttf_months[..3].iter().sum::<f64>() / 3.0;
         let n = out.series.mttf_months.len();
         let tail: f64 = out.series.mttf_months[n - 3..].iter().sum::<f64>() / 3.0;
         assert!(tail < head * 0.95, "MTTF should decline: {head:.1} -> {tail:.1}");
+    }
+
+    /// Forward MTTF against a 100,000-trial Monte Carlo walked against the
+    /// formable count itself, over random live-stage masks, rates (one
+    /// live stage in eight never fails) and levels, for both formation
+    /// structures and both criteria. The estimate's standard error comes
+    /// from the spread of 20 independent batches of 5,000 trials.
+    #[test]
+    fn forward_mttf_matches_a_large_monte_carlo() {
+        use r2d3_aging::mttf::{mttf_monte_carlo, MttfConfig};
+        const BATCHES: u64 = 20;
+        let mut rng = StdRng::seed_from_u64(0x3177);
+        let (mut finite, mut above_level_1) = (0, 0);
+        for policy in [PolicyKind::Static, PolicyKind::NoRecon] {
+            for criterion in [MttfCriterion::TotalLoss, MttfCriterion::ServiceLevel] {
+                for _ in 0..3 {
+                    let layers = rng.gen_range(2..=8);
+                    let wanted = rng.gen_range(1..=layers);
+                    let sim = LifetimeSim::new(LifetimeConfig {
+                        layers,
+                        mttf_criterion: criterion,
+                        ..quick_config(policy)
+                    });
+                    let n = layers * Unit::COUNT;
+                    let alive: Vec<bool> = (0..n).map(|_| rng.gen_range(0..8) != 0).collect();
+                    let rates: Vec<f64> = (0..n)
+                        .map(|s| match (alive[s], rng.gen_range(0..8)) {
+                            (true, 0) | (false, _) => 0.0,
+                            (true, _) => rng.gen_range(0.002..0.05),
+                        })
+                        .collect();
+                    let count = |ok: &dyn Fn(StageId) -> bool| match policy {
+                        PolicyKind::NoRecon => core_level_formable(layers, ok),
+                        _ => stage_level_formable(layers, ok),
+                    };
+                    let formable = count(&|s| alive[s.flat_index()]);
+                    if formable == 0 {
+                        continue;
+                    }
+                    let level = match criterion {
+                        MttfCriterion::TotalLoss => 1,
+                        MttfCriterion::ServiceLevel => formable.min(wanted),
+                    };
+                    let exact = sim.forward_mttf(&alive, &rates, formable, wanted);
+                    let batches: Vec<f64> = (0..BATCHES)
+                        .map(|seed| {
+                            let config = MttfConfig { trials: 5_000, seed, survivor_horizon: 1e9 };
+                            let up = |mask: &[bool]| {
+                                count(&|s| alive[s.flat_index()] && mask[s.flat_index()]) >= level
+                            };
+                            mttf_monte_carlo(&rates, up, &config)
+                        })
+                        .collect();
+                    let mean = batches.iter().sum::<f64>() / BATCHES as f64;
+                    if exact == 1e9 {
+                        assert_eq!(mean, 1e9, "{policy:?} level {level}: every trial censored");
+                        continue;
+                    }
+                    let var = batches.iter().map(|b| (b - mean).powi(2)).sum::<f64>()
+                        / (BATCHES - 1) as f64;
+                    let se = (var / BATCHES as f64).sqrt();
+                    assert!(
+                        (exact - mean).abs() <= 4.0 * se,
+                        "{policy:?} {criterion:?} level {level}: exact {exact}, \
+                         Monte Carlo {mean} ± {se}"
+                    );
+                    finite += 1;
+                    above_level_1 += usize::from(level > 1);
+                }
+            }
+        }
+        assert!(finite >= 8 && above_level_1 >= 3, "{finite} finite, {above_level_1} above 1");
+    }
+
+    #[test]
+    fn forward_mttf_is_zero_without_a_formable_pipeline_and_censored_without_wear() {
+        for policy in [PolicyKind::Static, PolicyKind::NoRecon] {
+            for criterion in [MttfCriterion::TotalLoss, MttfCriterion::ServiceLevel] {
+                let sim = LifetimeSim::new(LifetimeConfig {
+                    mttf_criterion: criterion,
+                    ..quick_config(policy)
+                });
+                let n = 8 * Unit::COUNT;
+                // Every LSU stage dead: nothing can be formed.
+                let alive: Vec<bool> =
+                    (0..n).map(|s| s % Unit::COUNT != Unit::Lsu.index()).collect();
+                assert_eq!(sim.forward_mttf(&alive, &vec![0.01; n], 0, 6), 0.0);
+                // Nothing wears: the stack never fails. One wearing layer
+                // leaves seven stages of every column, and seven cores, at
+                // rate 0: enough for level 1, too few for all eight, which
+                // then fail with the layer's five stages in series.
+                let alive = vec![true; n];
+                let mut rates = vec![0.0; n];
+                assert_eq!(sim.forward_mttf(&alive, &rates, 8, 6), 1e9, "{policy:?}");
+                rates[..Unit::COUNT].fill(0.01);
+                let one_layer = sim.forward_mttf(&alive, &rates, 8, 8);
+                match criterion {
+                    MttfCriterion::TotalLoss => assert_eq!(one_layer, 1e9, "{policy:?}"),
+                    MttfCriterion::ServiceLevel => {
+                        assert!((one_layer - 20.0).abs() < 1e-9, "{policy:?} level 8: {one_layer}");
+                    }
+                }
+            }
+        }
     }
 
     /// Small config with enough fault pressure that RNG state and fault
@@ -1240,10 +1333,10 @@ mod tests {
     }
 
     #[test]
-    fn a_format_3_lifetime_snapshot_is_refused() {
-        // A v3 body's config digest matches this run, so if it loaded, the
-        // run would resume SOR-solved months with exact ones.
-        let path = std::env::temp_dir().join(format!("r2d3-lifetime-v3-{}", std::process::id()));
+    fn a_format_4_lifetime_snapshot_is_refused() {
+        // A v4 body's config digest matches this run, so if it loaded, the
+        // run would follow months of sampled forward MTTF with exact ones.
+        let path = std::env::temp_dir().join(format!("r2d3-lifetime-v4-{}", std::process::id()));
         let mut captured = None;
         LifetimeSim::new(durable_config())
             .run_durable(None, |st| {
@@ -1252,15 +1345,15 @@ mod tests {
             })
             .unwrap();
         captured.expect("one month ran").save(&path).unwrap();
-        let v3 = std::fs::read_to_string(&path).unwrap().replacen(
+        let v4 = std::fs::read_to_string(&path).unwrap().replacen(
             &format!("{} {} ", snapshot::SNAPSHOT_MAGIC, snapshot::SNAPSHOT_VERSION),
-            &format!("{} 3 ", snapshot::SNAPSHOT_MAGIC),
+            &format!("{} 4 ", snapshot::SNAPSHOT_MAGIC),
             1,
         );
-        std::fs::write(&path, v3).unwrap();
+        std::fs::write(&path, v4).unwrap();
         assert!(matches!(
             LifetimeRunState::load(&path),
-            Err(SnapshotError::UnsupportedMigration { found: 3, oldest: 4 })
+            Err(SnapshotError::UnsupportedMigration { found: 4, oldest: 5 })
         ));
         std::fs::remove_file(&path).unwrap();
     }
@@ -1283,8 +1376,7 @@ mod tests {
                 let formable = stage_level_formable(cfg.layers, |s| rs.alive[s.flat_index()]);
                 let duty = sim.assign_duty(&rs.alive, formable.min(wanted));
                 let sor = grid.steady_state(&sim.power_map(&duty, cfg.activity_weight)).unwrap();
-                let mut draws = ExpDraws::new(sim.mttf_config(month).seed);
-                let temps = sim.step_month(&mut rs, &response, &mut draws);
+                let temps = sim.step_month(&mut rs, &response);
                 for s in StageId::all(cfg.layers) {
                     let want = sor
                         .block_avg(r2d3_thermal::BlockId { layer: s.layer, unit: s.unit })

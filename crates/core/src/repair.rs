@@ -49,80 +49,6 @@ pub fn core_level_formable(layers: usize, usable: impl Fn(StageId) -> bool) -> u
     (0..layers).filter(|&l| Unit::ALL.iter().all(|&u| usable(StageId::new(l, u)))).count()
 }
 
-/// Time at which [`stage_level_formable`] drops below `level` when the
-/// stages `alive` now fail at `times` (flat [`StageId`] index, `INFINITY`
-/// for never); `INFINITY` if it never does.
-///
-/// Each unit column is a `level`-out-of-`c` system over its `c` live
-/// stages: it fails at its `(c − level + 1)`-th stage failure, the
-/// `(c − level)`-th smallest time (0-based). The stack fails at the first
-/// column to fail. At `level` 1 this is the min over units of the max over
-/// their live stages.
-///
-/// # Panics
-///
-/// Panics unless `1 <= level <= stage_level_formable(..)` over `alive`.
-#[must_use]
-pub fn stage_level_failure_time(layers: usize, alive: &[bool], times: &[f64], level: usize) -> f64 {
-    Unit::ALL
-        .iter()
-        .map(|&u| {
-            let live = (0..layers)
-                .map(|l| StageId::new(l, u).flat_index())
-                .filter(|&s| alive[s])
-                .map(|s| times[s]);
-            nth_largest(live, level)
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Time at which [`core_level_formable`] drops below `level` when the
-/// stages `alive` now fail at `times` (flat [`StageId`] index, `INFINITY`
-/// for never); `INFINITY` if it never does.
-///
-/// A core dies at its earliest stage failure, and the `n` intact cores
-/// form a `level`-out-of-`n` system: it fails at the `(n − level)`-th
-/// smallest death time (0-based). At `level` 1 this is the max over
-/// intact cores of the min over their stages.
-///
-/// # Panics
-///
-/// Panics unless `1 <= level <= core_level_formable(..)` over `alive`.
-#[must_use]
-pub fn core_level_failure_time(layers: usize, alive: &[bool], times: &[f64], level: usize) -> f64 {
-    let core = |l: usize| Unit::ALL.iter().map(move |&u| StageId::new(l, u).flat_index());
-    let deaths = (0..layers)
-        .filter(|&l| core(l).all(|s| alive[s]))
-        .map(|l| core(l).map(|s| times[s]).fold(f64::INFINITY, f64::min));
-    nth_largest(deaths, level)
-}
-
-/// The `rank`-th largest of `values` (1-based, ties counted with
-/// multiplicity): the `(len − rank)`-th smallest. Peels off one distinct
-/// value per pass, so `rank` 1 is a single max.
-///
-/// # Panics
-///
-/// Panics if `rank` is 0 or exceeds the number of values.
-fn nth_largest(values: impl Iterator<Item = f64> + Clone, rank: usize) -> f64 {
-    assert!(rank > 0, "ranks are 1-based");
-    let mut top = values.clone().reduce(f64::max).expect("rank exceeds the number of values");
-    // `above` values exceed `top`, which therefore fills rank `above + 1`.
-    let mut above = 0;
-    while above + 1 < rank {
-        above += values.clone().filter(|&t| t == top).count();
-        if above >= rank {
-            break;
-        }
-        top = values
-            .clone()
-            .filter(|&t| t < top)
-            .reduce(f64::max)
-            .expect("rank exceeds the number of values");
-    }
-    top
-}
-
 /// Forms up to `max_pipelines` logical pipelines from the usable stages.
 ///
 /// Assignment strategy: for each unit, the usable layers are sorted
@@ -253,169 +179,6 @@ mod tests {
             prop_assert!(stage >= core, "stage {stage} < core {core}");
             prop_assert_eq!(form_pipelines(8, usable, 8).len(), stage);
         });
-    }
-
-    /// Reference for the closed forms: kills the live stages one at a
-    /// time in stable time order and returns the time of the kill after
-    /// which `formable` first counts fewer than `level` pipelines.
-    fn walk_failure_time(
-        layers: usize,
-        alive: &[bool],
-        times: &[f64],
-        level: usize,
-        formable: impl Fn(&dyn Fn(StageId) -> bool) -> usize,
-    ) -> f64 {
-        let mut order: Vec<usize> = (0..layers * Unit::COUNT).filter(|&s| alive[s]).collect();
-        order.sort_by(|&a, &b| times[a].total_cmp(&times[b]));
-        let mut dead = vec![false; alive.len()];
-        for s in order {
-            dead[s] = true;
-            if formable(&|id: StageId| alive[id.flat_index()] && !dead[id.flat_index()]) < level {
-                return times[s];
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// Sampled failure times from a small set, so ties are common.
-    const TIMES: [f64; 5] = [1.0, 2.0, 2.5, 4.0, f64::INFINITY];
-
-    type Count = fn(usize, &dyn Fn(StageId) -> bool) -> usize;
-    type Closed = fn(usize, &[bool], &[f64], usize) -> f64;
-
-    /// Both formation structures: the formable count and its closed-form
-    /// failure time.
-    const STRUCTURES: [(&str, Count, Closed); 2] = [
-        ("stage", |l, ok| stage_level_formable(l, ok), stage_level_failure_time),
-        ("core", |l, ok| core_level_formable(l, ok), core_level_failure_time),
-    ];
-
-    /// Seven in eight stages alive, so intact cores are common too.
-    fn alive_mask(draw: &[u8]) -> Vec<bool> {
-        draw.iter().map(|&a| a != 0).collect()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
-
-        #[test]
-        fn closed_form_failure_times_equal_the_walk(
-            layers in 1usize..=8,
-            alive_draw in proptest::collection::vec(0u8..8, 40),
-            time_draw in proptest::collection::vec(0usize..TIMES.len(), 40),
-            level_draw in 0usize..64,
-        ) {
-            let alive = alive_mask(&alive_draw);
-            let times: Vec<f64> = time_draw.iter().map(|&i| TIMES[i]).collect();
-            for (name, count, closed) in STRUCTURES {
-                let now = count(layers, &|s: StageId| alive[s.flat_index()]);
-                if now == 0 {
-                    continue;
-                }
-                let level = 1 + level_draw % now;
-                let walk =
-                    walk_failure_time(layers, &alive, &times, level, |ok| count(layers, ok));
-                let closed = closed(layers, &alive, &times, level);
-                proptest::prop_assert_eq!(
-                    closed.to_bits(),
-                    walk.to_bits(),
-                    "{} level {}",
-                    name,
-                    level
-                );
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn closed_form_mttf_equals_the_predicate_walk_bit_for_bit(
-            layers in 1usize..=8,
-            alive_draw in proptest::collection::vec(0u8..8, 40),
-            rate_draw in proptest::collection::vec(0u8..4, 40),
-            level_draw in 0usize..64,
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            use r2d3_aging::mttf::{mttf_monte_carlo, mttf_of_failure_times, MttfConfig};
-            let n = layers * Unit::COUNT;
-            let alive = alive_mask(&alive_draw[..n]);
-            // Rate 0 (never fails) for one stage in four, dead or alive.
-            let rates: Vec<f64> = rate_draw[..n].iter().map(|&r| f64::from(r) * 0.01).collect();
-            let config = MttfConfig { trials: 40, seed, ..Default::default() };
-            for (name, count, closed) in STRUCTURES {
-                let now = count(layers, &|s: StageId| alive[s.flat_index()]);
-                if now == 0 {
-                    continue;
-                }
-                let level = 1 + level_draw % now;
-                let predicate = |mask: &[bool]| {
-                    count(layers, &|s: StageId| alive[s.flat_index()] && mask[s.flat_index()])
-                        >= level
-                };
-                let walk = mttf_monte_carlo(&rates, predicate, &config);
-                let order_statistic = mttf_of_failure_times(&rates, &config, |times| {
-                    closed(layers, &alive, times, level)
-                });
-                proptest::prop_assert_eq!(
-                    order_statistic.to_bits(),
-                    walk.to_bits(),
-                    "{} level {}",
-                    name,
-                    level
-                );
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
-
-        /// The replicas of a lifetime month read one stream of draws. A
-        /// replica with more live stages extends the stream past what the
-        /// ones before it read, and each must still get exactly the
-        /// estimate of a stream of its own.
-        #[test]
-        fn replicas_sharing_one_stream_match_their_own_streams(
-            layers in 1usize..=8,
-            alive_draws in proptest::collection::vec(proptest::collection::vec(0u8..8, 40), 2..=5),
-            rate_draw in proptest::collection::vec(0u8..4, 40),
-            level_draw in 0usize..64,
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            use r2d3_aging::mttf::{mttf_of_draws, mttf_of_failure_times, ExpDraws, MttfConfig};
-            let n = layers * Unit::COUNT;
-            let config = MttfConfig { trials: 40, seed, ..Default::default() };
-            for (name, count, closed) in STRUCTURES {
-                for drawn_level in [false, true] {
-                    let mut shared = ExpDraws::new(seed);
-                    for draw in &alive_draws {
-                        let alive = alive_mask(&draw[..n]);
-                        let now = count(layers, &|s: StageId| alive[s.flat_index()]);
-                        if now == 0 {
-                            continue;
-                        }
-                        let level = if drawn_level { 1 + level_draw % now } else { 1 };
-                        // Dead stages have rate 0, and so does one live
-                        // stage in four.
-                        let rates: Vec<f64> = (0..n)
-                            .map(|s| if alive[s] { f64::from(rate_draw[s]) * 0.01 } else { 0.0 })
-                            .collect();
-                        let failure = |times: &[f64]| closed(layers, &alive, times, level);
-                        let own = mttf_of_failure_times(&rates, &config, failure);
-                        let read = mttf_of_draws(&rates, &config, &mut shared, failure);
-                        proptest::prop_assert_eq!(
-                            read.to_bits(),
-                            own.to_bits(),
-                            "{} level {}",
-                            name,
-                            level
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

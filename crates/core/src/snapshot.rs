@@ -61,12 +61,19 @@ use std::path::Path;
 ///   [`read_verified`]): its config digest matches a v4 run, and resuming
 ///   it would follow SOR-solved months with exact ones. The `campaign`,
 ///   `shard` and `job` bodies are unchanged and migrate as they are.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// * **5** — the `lifetime` body's schema is unchanged, but its forward
+///   MTTF values are exact integrals of the survival function where a v4
+///   body holds Monte-Carlo estimates of them, in `acc` and in the
+///   in-flight replica's `series`. A v4 `lifetime` body is refused (see
+///   [`read_verified`]): its config digest matches a v5 run, and resuming
+///   it would follow sampled months with exact ones. The `campaign`,
+///   `shard` and `job` bodies are unchanged and migrate as they are.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Oldest snapshot version [`read_verified`] can still migrate forward.
 /// The window is exactly one version (N−1): anything older is refused
 /// with [`SnapshotError::UnsupportedMigration`] instead of a guess.
-pub const OLDEST_MIGRATABLE_VERSION: u32 = 3;
+pub const OLDEST_MIGRATABLE_VERSION: u32 = 4;
 
 /// Magic token opening every snapshot header.
 pub const SNAPSHOT_MAGIC: &str = "R2D3SNAP";
@@ -291,13 +298,13 @@ fn migrate(version: u32, kind: &str, mut body: String) -> Result<String, Snapsho
     let mut v = version;
     while v < SNAPSHOT_VERSION {
         body = match v {
-            // v3 → v4: only the `lifetime` body changed. A v3 one carries
-            // the digest of a config a v4 run shares, but its months were
-            // solved by SOR to a tolerance and a v4 run's months are
-            // exact, so a resumed run would match neither. Refuse it here
-            // rather than let it resume: a checkpoint that fails to load
-            // is discarded and its unit restarted.
-            3 => {
+            // v4 → v5: only what a `lifetime` body means changed. A v4
+            // one carries the digest of a config a v5 run shares, but its
+            // forward MTTFs were sampled and a v5 run's are exact, so a
+            // resumed run would match neither. Refuse it here rather than
+            // let it resume: a checkpoint that fails to load is discarded
+            // and its unit restarted.
+            4 => {
                 if kind == "lifetime" {
                     return Err(SnapshotError::UnsupportedMigration {
                         found: version,
@@ -479,8 +486,9 @@ mod tests {
         let previous = SNAPSHOT_VERSION - 1;
         assert_eq!(previous, OLDEST_MIGRATABLE_VERSION, "the window is one version");
         let body = r#"{"cursor": 3}"#;
-        // A v3 lifetime body as format 3 wrote it, warm-start field and all.
-        let lifetime = r#"{"replica": 0, "month": 5, "warm_cells": ["4046800000000000"]}"#;
+        // A v4 lifetime body: the v5 schema, with a sampled forward MTTF.
+        let lifetime =
+            r#"{"replica": 0, "month": 1, "series": {"mttf_months": ["4056b8c9a4a3e2a1"]}}"#;
         for (kind, migrates) in
             [("campaign", true), ("shard", true), ("job", true), ("lifetime", false)]
         {
@@ -508,9 +516,9 @@ mod tests {
 
     #[test]
     fn pre_window_versions_are_unsupported() {
-        // Every kind, down to version 0: the v2 `campaign`, `shard` and
-        // `job` bodies that migrated into format 3 are outside the window
-        // of format 4.
+        // Every kind, down to version 0: the v3 `campaign`, `shard` and
+        // `job` bodies that migrated into format 4 are outside the window
+        // of format 5.
         for kind in ["campaign", "shard", "job", "lifetime"] {
             for version in 0..OLDEST_MIGRATABLE_VERSION {
                 let path = tmp_path(&format!("migrate-v{version}-{kind}"));

@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = LifetimeConfig {
             months,
             replicas: 8,
-            mttf_trials: 300,
             grid: GridConfig { nx: 8, ny: 6, ..Default::default() },
             ..LifetimeConfig::new(
                 policy,

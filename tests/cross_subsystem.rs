@@ -126,7 +126,6 @@ fn physical_frequency_feeds_lifetime_normalization() {
         r2d3::engine::lifetime::LifetimeConfig::new(r2d3::engine::PolicyKind::Pro, 0.75, 0.85);
     cfg.months = 1;
     cfg.replicas = 1;
-    cfg.mttf_trials = 10;
     cfg.grid = GridConfig { nx: 8, ny: 6, ..Default::default() };
     let out = r2d3::engine::lifetime::LifetimeSim::new(cfg).run().expect("sim");
     assert!(

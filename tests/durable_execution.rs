@@ -16,7 +16,7 @@ use r2d3::engine::campaign::{
 use r2d3::engine::chaos::splitmix64;
 use r2d3::engine::lifetime::{LifetimeConfig, LifetimeRunState, LifetimeSim};
 use r2d3::engine::policy::PolicyKind;
-use r2d3::engine::snapshot::SnapshotError;
+use r2d3::engine::snapshot::{SnapshotError, SNAPSHOT_VERSION};
 use r2d3::engine::telemetry::{
     OverflowPolicy, StreamSink, TelemetryEvent, TelemetryRecord, TelemetrySink,
 };
@@ -35,7 +35,6 @@ fn lifetime_config() -> LifetimeConfig {
     LifetimeConfig {
         months: 10,
         replicas: 2,
-        mttf_trials: 20,
         seed: 0xD00B,
         ..LifetimeConfig::new(PolicyKind::Pro, 1.0, 1.0)
     }
@@ -115,12 +114,24 @@ fn damaged_snapshots_are_rejected_not_reused() {
 
     // Version bump → refused before the body is even looked at.
     let text = String::from_utf8(good.clone()).unwrap();
-    let current = format!("R2D3SNAP {} ", r2d3::engine::snapshot::SNAPSHOT_VERSION);
+    let current = format!("R2D3SNAP {SNAPSHOT_VERSION} ");
     let bumped = tmp_path("lifetime-version.r2d3s");
     std::fs::write(&bumped, text.replacen(&current, "R2D3SNAP 99 ", 1)).unwrap();
     assert!(matches!(
         LifetimeRunState::load(&bumped),
         Err(SnapshotError::Version { found: 99, .. })
+    ));
+
+    // The previous version → typed UnsupportedMigration: a lifetime body
+    // of the previous format holds sampled forward MTTFs, and this build
+    // computes them exactly.
+    let previous = tmp_path("lifetime-previous.r2d3s");
+    let prior = SNAPSHOT_VERSION - 1;
+    std::fs::write(&previous, text.replacen(&current, &format!("R2D3SNAP {prior} "), 1)).unwrap();
+    assert!(matches!(
+        LifetimeRunState::load(&previous),
+        Err(SnapshotError::UnsupportedMigration { found, oldest })
+            if found == prior && oldest == SNAPSHOT_VERSION
     ));
 
     // Pre-migration-window version → typed UnsupportedMigration.
