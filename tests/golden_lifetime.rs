@@ -14,10 +14,18 @@
 //! from a tolerance-stopped SOR solve to an exact steady-state response
 //! did, and it left [`TRAJECTORIES`] alone, as the switch from a sampled
 //! to an exact forward MTTF left [`WITHOUT_MTTF`] alone.
+//!
+//! A second digest, [`SNAPSHOT_BODIES`], pins the durable run's
+//! portable state: the snapshot body saved after every month-step of a
+//! small run, byte for byte.
 
-use r2d3::engine::lifetime::{LifetimeConfig, LifetimeOutcome, LifetimeSim, MttfCriterion};
+use r2d3::engine::lifetime::{
+    LifetimeConfig, LifetimeOutcome, LifetimeRunState, LifetimeSim, MttfCriterion,
+};
 use r2d3::engine::policy::PolicyKind;
+use r2d3::engine::snapshot::read_verified;
 use r2d3::thermal::GridConfig;
+use std::ops::ControlFlow;
 
 /// FNV-1a-64 of the outcomes below, computed once each month's forward
 /// MTTF became the exact integral of the survival function instead of a
@@ -42,15 +50,27 @@ const TRAJECTORIES: u64 = 0x1957_c1c4_199d_6b9e;
 /// moves [`GOLDEN`] and leaves this constant alone.
 const WITHOUT_MTTF: u64 = 0xbae6_eaf0_b179_fd37;
 
+/// FNV-1a-64 of the snapshot body (format 5) saved after each of the 30
+/// month-steps of a durable Pro run, 3 replicas × 10 months, under
+/// enough fault pressure that the RNG stream, the fault map and the wear
+/// all show in it. Every body is folded as its length and then its bytes,
+/// so the constant pins the cursor, the replica-order accumulator, the
+/// replica-0 map and the live replica's state at every step.
+const SNAPSHOT_BODIES: u64 = 0x1933_d058_816a_23e8;
+
 /// Byte-wise FNV-1a-64 over little-endian words.
 struct Fnv(u64);
 
 impl Fnv {
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
             self.0 ^= u64::from(byte);
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
+    }
+
+    fn word(&mut self, w: u64) {
+        self.bytes(&w.to_le_bytes());
     }
 
     fn floats(&mut self, values: &[f64]) {
@@ -136,4 +156,30 @@ fn every_lifetime_value_matches_the_golden_digest() {
         without_mttf.0
     );
     assert_eq!(h.0, GOLDEN, "lifetime values moved: digest {:#018x}", h.0);
+}
+
+#[test]
+fn every_lifetime_snapshot_body_matches_the_golden_digest() {
+    let mut cfg = LifetimeConfig { months: 10, replicas: 3, ..quick(PolicyKind::Pro) };
+    cfg.reliability.base_rate_per_month = 0.02;
+    let dir = std::env::temp_dir().join("r2d3-golden-lifetime");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}-bodies.r2d3s", std::process::id()));
+
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut steps = 0;
+    LifetimeSim::new(cfg)
+        .run_durable(None, |st| {
+            st.save(&path)?;
+            let body = read_verified(&path, LifetimeRunState::KIND)?;
+            h.word(body.len() as u64);
+            h.bytes(body.as_bytes());
+            steps += 1;
+            Ok(ControlFlow::Continue(()))
+        })
+        .unwrap()
+        .expect("observer never breaks");
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(steps, 30, "one body per month-step");
+    assert_eq!(h.0, SNAPSHOT_BODIES, "lifetime snapshot bodies moved: digest {:#018x}", h.0);
 }
