@@ -77,6 +77,7 @@ pub mod engine;
 pub mod history;
 pub mod lifetime;
 pub mod policy;
+mod pool;
 pub mod repair;
 pub mod report;
 pub mod serve;

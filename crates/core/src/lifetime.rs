@@ -20,6 +20,7 @@
 
 use crate::activity::{pro_layer_weights, weighted_fill};
 use crate::policy::PolicyKind;
+use crate::pool::run_in_order;
 use crate::repair::{core_level_formable, stage_level_formable};
 use crate::snapshot::{self, SnapshotError};
 use crate::substrate::ReliabilitySubstrate;
@@ -34,6 +35,7 @@ use r2d3_pipeline_sim::StageId;
 use r2d3_thermal::{Floorplan, GridConfig, PowerMap, SteadyResponse, ThermalGrid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -263,7 +265,7 @@ pub fn default_threads() -> usize {
 
 /// Live state of one replica mid-trajectory — everything
 /// [`LifetimeSim::step_month`] reads and writes.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 struct ReplicaState {
     replica: usize,
     /// Months completed (the next month to simulate).
@@ -290,35 +292,69 @@ impl ReplicaState {
     }
 }
 
-/// Portable mid-flight state of a lifetime run: the month-granular
-/// cursor (replica × month), the accumulated average over completed
-/// replicas, and the live replica's full state — RNG stream, fault map,
-/// per-stage wear. Serialized with `f64`s as bit patterns, so save →
-/// load → continue is byte-identical to never having stopped (the
-/// [`snapshot`] determinism contract).
-///
-/// Produced by [`LifetimeSim::run_durable`]'s observer callback and
-/// persisted/recovered with [`save`](LifetimeRunState::save) /
-/// [`load`](LifetimeRunState::load).
+/// Finished replicas folded in replica order: the running average and
+/// replica 0's month-0 map. [`run`](LifetimeSim::run) and
+/// [`run_durable`](LifetimeSim::run_durable) both fold through it, so
+/// their outcomes are equal by construction.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct ReplicaFold {
+    /// Replica-average over the folded replicas (empty before the first).
+    acc: LifetimeSeries,
+    /// Replica-0 hottest-layer map (empty until replica 0 is folded).
+    map: Vec<f64>,
+}
+
+impl ReplicaFold {
+    fn absorb(&mut self, rs: ReplicaState, replicas: usize) {
+        let w = 1.0 / replicas as f64;
+        if self.acc.months.is_empty() {
+            for (_, column) in self.acc.columns_mut() {
+                *column = vec![0.0; rs.series.months.len()];
+            }
+            self.acc.months.clone_from(&rs.series.months);
+        }
+        // Every column but `months` is a replica average.
+        for ((_, sum), (_, one)) in
+            self.acc.columns_mut().into_iter().zip(rs.series.columns()).skip(1)
+        {
+            for (s, v) in sum.iter_mut().zip(one) {
+                *s += v * w;
+            }
+        }
+        if rs.replica == 0 {
+            self.map = rs.hot_map_month0;
+        }
+    }
+
+    fn outcome(self, cfg: &LifetimeConfig) -> LifetimeOutcome {
+        LifetimeOutcome {
+            policy: cfg.policy,
+            series: self.acc,
+            initial_hot_layer_map: self.map,
+            map_nx: cfg.grid.nx,
+            map_ny: cfg.grid.ny,
+        }
+    }
+}
+
+/// Portable mid-flight state of a lifetime run: the replica-order fold
+/// of the finished replicas and the live replica's full state — cursor
+/// (replica × month), RNG stream, fault map, per-stage wear.
+/// [`LifetimeSim::run_durable`] steps it in place and lends it to its
+/// observer after every month, which may persist it with
+/// [`save`](LifetimeRunState::save). Serialized with `f64`s as bit
+/// patterns, so save → [`load`](LifetimeRunState::load) → continue is
+/// byte-identical to never having stopped (the [`snapshot`] determinism
+/// contract).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeRunState {
     /// Digest of the originating [`LifetimeConfig`]; resuming under a
     /// different configuration is a [`SnapshotError::ConfigMismatch`].
     config_digest: u64,
-    /// Replica currently in flight (replicas `0..replica` are folded
-    /// into `acc`).
-    replica: usize,
-    /// Months the in-flight replica has completed.
-    month: usize,
-    /// Replica-average accumulated over completed replicas.
-    acc: LifetimeSeries,
-    /// Replica-0 hottest-layer map (empty until replica 0 completes).
-    map: Vec<f64>,
-    rng: [u64; 4],
-    alive: Vec<bool>,
-    wear: Vec<f64>,
-    series: LifetimeSeries,
-    hot_map_month0: Vec<f64>,
+    /// Replicas `0..live.replica`, folded.
+    fold: ReplicaFold,
+    /// The replica in flight.
+    live: ReplicaState,
 }
 
 impl LifetimeRunState {
@@ -328,47 +364,65 @@ impl LifetimeRunState {
     /// Replica currently in flight (0-based).
     #[must_use]
     pub fn replica(&self) -> usize {
-        self.replica
+        self.live.replica
     }
 
     /// Months the in-flight replica has completed.
     #[must_use]
     pub fn month(&self) -> usize {
-        self.month
+        self.live.month
     }
 
     /// Total months simulated across completed and in-flight replicas,
     /// given the run's months-per-replica.
     #[must_use]
     pub fn months_done(&self, months_per_replica: usize) -> usize {
-        self.replica * months_per_replica + self.month
+        self.live.replica * months_per_replica + self.live.month
     }
 
-    fn capture(st: &DurableCursor, rs: &ReplicaState, digest: u64) -> Self {
-        LifetimeRunState {
-            config_digest: digest,
-            replica: rs.replica,
-            month: rs.month,
-            acc: st.acc.clone(),
-            map: st.map.clone(),
-            rng: rs.rng.state(),
-            alive: rs.alive.clone(),
-            wear: rs.wear.iter().map(NbtiState::vth_shift).collect(),
-            series: rs.series.clone(),
-            hot_map_month0: rs.hot_map_month0.clone(),
-        }
-    }
-
-    fn rebuild_replica(&self) -> ReplicaState {
-        ReplicaState {
-            replica: self.replica,
-            month: self.month,
-            rng: StdRng::from_state(self.rng),
-            alive: self.alive.clone(),
-            wear: self.wear.iter().map(|&v| NbtiState::from_vth_shift(v)).collect(),
-            series: self.series.clone(),
-            hot_map_month0: self.hot_map_month0.clone(),
-        }
+    /// Refuses a state that `cfg`'s run cannot continue: another
+    /// configuration, a cursor outside the run, or stage vectors, series
+    /// or month-0 maps that disagree with the cursor.
+    fn check_resumable(&self, cfg: &LifetimeConfig) -> Result<(), SnapshotError> {
+        let digest = config_digest(cfg);
+        let nstages = cfg.layers * Unit::COUNT;
+        let cells = cfg.grid.nx * cfg.grid.ny;
+        let (live, acc) = (&self.live, &self.fold.acc);
+        let mismatch = if self.config_digest != digest {
+            format!(
+                "snapshot was captured under a different lifetime configuration \
+                 (digest {:#018x}, this run is {:#018x})",
+                self.config_digest, digest
+            )
+        } else if live.replica >= cfg.replicas || live.month > cfg.months {
+            format!(
+                "snapshot cursor (replica {}, month {}) lies outside the run \
+                 ({} replicas x {} months)",
+                live.replica, live.month, cfg.replicas, cfg.months
+            )
+        } else if live.alive.len() != nstages || live.wear.len() != nstages {
+            format!("snapshot stage vectors do not match the run's {nstages} stages")
+        } else if live.series.months.len() != live.month {
+            format!(
+                "snapshot series holds {} months, its cursor {}",
+                live.series.months.len(),
+                live.month
+            )
+        } else if acc.months.len() != if live.replica == 0 { 0 } else { cfg.months } {
+            format!(
+                "snapshot accumulator holds {} months at replica {} of a {}-month run",
+                acc.months.len(),
+                live.replica,
+                cfg.months
+            )
+        } else if self.fold.map.len() != if live.replica == 0 { 0 } else { cells }
+            || live.hot_map_month0.len() != if live.month == 0 { 0 } else { cells }
+        {
+            format!("snapshot month-0 maps do not match the run's {cells}-cell layers")
+        } else {
+            return Ok(());
+        };
+        Err(SnapshotError::ConfigMismatch(mismatch))
     }
 
     /// Atomically persists the state at `path` (see [`snapshot`]).
@@ -412,31 +466,27 @@ impl LifetimeRunState {
     }
 
     fn to_body(&self) -> String {
+        let live = &self.live;
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"config_digest\": {},", hex_u64(self.config_digest));
-        let _ = writeln!(out, "  \"replica\": {},", self.replica);
-        let _ = writeln!(out, "  \"month\": {},", self.month);
-        let _ = writeln!(out, "  \"acc\": {},", series_to_json(&self.acc));
-        let _ = writeln!(out, "  \"map\": {},", snapshot::f64_slice_to_json(&self.map));
-        let _ = writeln!(
-            out,
-            "  \"rng\": [{}, {}, {}, {}],",
-            hex_u64(self.rng[0]),
-            hex_u64(self.rng[1]),
-            hex_u64(self.rng[2]),
-            hex_u64(self.rng[3])
-        );
+        let _ = writeln!(out, "  \"replica\": {},", live.replica);
+        let _ = writeln!(out, "  \"month\": {},", live.month);
+        let _ = writeln!(out, "  \"acc\": {},", series_to_json(&self.fold.acc));
+        let _ = writeln!(out, "  \"map\": {},", snapshot::f64_slice_to_json(&self.fold.map));
+        let [a, b, c, d] = live.rng.state().map(hex_u64);
+        let _ = writeln!(out, "  \"rng\": [{a}, {b}, {c}, {d}],");
         out.push_str("  \"alive\": [");
-        for (i, a) in self.alive.iter().enumerate() {
+        for (i, a) in live.alive.iter().enumerate() {
             let _ = write!(out, "{}{a}", if i == 0 { "" } else { ", " });
         }
         out.push_str("],\n");
-        let _ = writeln!(out, "  \"wear\": {},", snapshot::f64_slice_to_json(&self.wear));
-        let _ = writeln!(out, "  \"series\": {},", series_to_json(&self.series));
+        let wear: Vec<f64> = live.wear.iter().map(NbtiState::vth_shift).collect();
+        let _ = writeln!(out, "  \"wear\": {},", snapshot::f64_slice_to_json(&wear));
+        let _ = writeln!(out, "  \"series\": {},", series_to_json(&live.series));
         let _ = writeln!(
             out,
             "  \"hot_map_month0\": {}",
-            snapshot::f64_slice_to_json(&self.hot_map_month0)
+            snapshot::f64_slice_to_json(&live.hot_map_month0)
         );
         out.push_str("}\n");
         out
@@ -444,28 +494,24 @@ impl LifetimeRunState {
 
     fn from_body(body: &str) -> Result<Self, SnapshotError> {
         let v = json::parse(body)?;
+        let rng: [u64; 4] = v
+            .hexes("rng")?
+            .try_into()
+            .map_err(|_| FieldError::invalid("rng", "must hold 4 words"))?;
         Ok(LifetimeRunState {
             config_digest: v.hex("config_digest")?,
-            replica: v.int("replica")?,
-            month: v.int("month")?,
-            acc: series_from_json(v.field("acc")?)?,
-            map: floats(&v, "map")?,
-            rng: v
-                .hexes("rng")?
-                .try_into()
-                .map_err(|_| FieldError::invalid("rng", "must hold 4 words"))?,
-            alive: v.bools("alive")?,
-            wear: floats(&v, "wear")?,
-            series: series_from_json(v.field("series")?)?,
-            hot_map_month0: floats(&v, "hot_map_month0")?,
+            fold: ReplicaFold { acc: series_from_json(v.field("acc")?)?, map: floats(&v, "map")? },
+            live: ReplicaState {
+                replica: v.int("replica")?,
+                month: v.int("month")?,
+                rng: StdRng::from_state(rng),
+                alive: v.bools("alive")?,
+                wear: floats(&v, "wear")?.into_iter().map(NbtiState::from_vth_shift).collect(),
+                series: series_from_json(v.field("series")?)?,
+                hot_map_month0: floats(&v, "hot_map_month0")?,
+            },
         })
     }
-}
-
-/// Accumulator half of a durable run (completed replicas).
-struct DurableCursor {
-    acc: LifetimeSeries,
-    map: Vec<f64>,
 }
 
 /// Digest identifying a [`LifetimeConfig`] (FNV-1a over its canonical
@@ -476,18 +522,42 @@ fn config_digest(cfg: &LifetimeConfig) -> u64 {
     snapshot::fnv1a64(format!("{canonical:?}").as_bytes())
 }
 
+impl LifetimeSeries {
+    /// Every series with its snapshot key, in snapshot order.
+    fn columns(&self) -> [(&'static str, &Vec<f64>); 7] {
+        [
+            ("months", &self.months),
+            ("mean_vth", &self.mean_vth),
+            ("max_vth", &self.max_vth),
+            ("mttf_months", &self.mttf_months),
+            ("norm_ipc", &self.norm_ipc),
+            ("active_pipelines", &self.active_pipelines),
+            ("hottest_layer_temp", &self.hottest_layer_temp),
+        ]
+    }
+
+    /// [`columns`](LifetimeSeries::columns), writable.
+    fn columns_mut(&mut self) -> [(&'static str, &mut Vec<f64>); 7] {
+        [
+            ("months", &mut self.months),
+            ("mean_vth", &mut self.mean_vth),
+            ("max_vth", &mut self.max_vth),
+            ("mttf_months", &mut self.mttf_months),
+            ("norm_ipc", &mut self.norm_ipc),
+            ("active_pipelines", &mut self.active_pipelines),
+            ("hottest_layer_temp", &mut self.hottest_layer_temp),
+        ]
+    }
+}
+
 fn series_to_json(s: &LifetimeSeries) -> String {
-    format!(
-        "{{\"months\": {}, \"mean_vth\": {}, \"max_vth\": {}, \"mttf_months\": {}, \
-         \"norm_ipc\": {}, \"active_pipelines\": {}, \"hottest_layer_temp\": {}}}",
-        snapshot::f64_slice_to_json(&s.months),
-        snapshot::f64_slice_to_json(&s.mean_vth),
-        snapshot::f64_slice_to_json(&s.max_vth),
-        snapshot::f64_slice_to_json(&s.mttf_months),
-        snapshot::f64_slice_to_json(&s.norm_ipc),
-        snapshot::f64_slice_to_json(&s.active_pipelines),
-        snapshot::f64_slice_to_json(&s.hottest_layer_temp)
-    )
+    let mut out = String::from("{");
+    for (i, (key, column)) in s.columns().into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}\"{key}\": {}", snapshot::f64_slice_to_json(column));
+    }
+    out.push('}');
+    out
 }
 
 /// Reads an array written by [`snapshot::f64_slice_to_json`].
@@ -496,27 +566,11 @@ fn floats(v: &Value, key: &str) -> Result<Vec<f64>, FieldError> {
 }
 
 fn series_from_json(v: &Value) -> Result<LifetimeSeries, SnapshotError> {
-    let series = LifetimeSeries {
-        months: floats(v, "months")?,
-        mean_vth: floats(v, "mean_vth")?,
-        max_vth: floats(v, "max_vth")?,
-        mttf_months: floats(v, "mttf_months")?,
-        norm_ipc: floats(v, "norm_ipc")?,
-        active_pipelines: floats(v, "active_pipelines")?,
-        hottest_layer_temp: floats(v, "hottest_layer_temp")?,
-    };
-    let n = series.months.len();
-    if [
-        series.mean_vth.len(),
-        series.max_vth.len(),
-        series.mttf_months.len(),
-        series.norm_ipc.len(),
-        series.active_pipelines.len(),
-        series.hottest_layer_temp.len(),
-    ]
-    .iter()
-    .any(|&l| l != n)
-    {
+    let mut series = LifetimeSeries::default();
+    for (key, column) in series.columns_mut() {
+        *column = floats(v, key)?;
+    }
+    if series.columns().iter().any(|(_, column)| column.len() != series.months.len()) {
         return Err(SnapshotError::Malformed("series arrays have mismatched lengths".into()));
     }
     Ok(series)
@@ -547,9 +601,9 @@ impl LifetimeSim {
     ///
     /// Replicas run in parallel over [`LifetimeConfig::threads`] workers.
     /// Each replica draws its faults from its own deterministic seed and
-    /// shares nothing with the others, and the per-replica series are
-    /// accumulated in replica order, so the averaged outcome is
-    /// bit-identical for any thread count.
+    /// shares nothing with the others, and finished replicas are folded
+    /// in replica order, so the averaged outcome is bit-identical for any
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -563,42 +617,30 @@ impl LifetimeSim {
         self.run_on(self.config.threads.min(host))
     }
 
-    /// [`run`](LifetimeSim::run) on `workers` threads, each stepping one
-    /// contiguous chunk of replicas.
+    /// [`run`](LifetimeSim::run) on `workers` threads of the crate's
+    /// ordered pool, one replica at a time per worker.
     fn run_on(&self, workers: usize) -> Result<LifetimeOutcome, EngineError> {
         let cfg = &self.config;
         let response = self.thermal_response()?;
-
-        let workers = workers.max(1).min(cfg.replicas.max(1));
-        let mut replicas: Vec<ReplicaState> =
-            (0..cfg.replicas).map(|replica| ReplicaState::fresh(cfg, replica)).collect();
-        if workers <= 1 {
-            self.step_chunk(&mut replicas, &response);
-        } else {
-            std::thread::scope(|scope| {
-                for chunk in replicas.chunks_mut(cfg.replicas.div_ceil(workers)) {
-                    let response = &response;
-                    scope.spawn(move || self.step_chunk(chunk, response));
+        let replicas: Vec<usize> = (0..cfg.replicas).collect();
+        let mut fold = ReplicaFold::default();
+        let Ok(_) = run_in_order(
+            workers,
+            &(),
+            &replicas,
+            |(), &replica| {
+                let mut rs = ReplicaState::fresh(cfg, replica);
+                while rs.month < cfg.months {
+                    self.step_month(&mut rs, &response);
                 }
-            });
-        }
-
-        let mut acc = LifetimeSeries::default();
-        let mut map = Vec::new();
-        for rs in replicas {
-            accumulate(&mut acc, &rs.series, cfg.replicas as f64);
-            if rs.replica == 0 {
-                map = rs.hot_map_month0;
-            }
-        }
-
-        Ok(LifetimeOutcome {
-            policy: cfg.policy,
-            series: acc,
-            initial_hot_layer_map: map,
-            map_nx: cfg.grid.nx,
-            map_ny: cfg.grid.ny,
-        })
+                rs
+            },
+            |rs| {
+                fold.absorb(rs, cfg.replicas);
+                Ok::<_, Infallible>(ControlFlow::Continue(()))
+            },
+        );
+        Ok(fold.outcome(cfg))
     }
 
     /// The grid's exact steady-state response, built once per run and
@@ -612,23 +654,14 @@ impl LifetimeSim {
         Ok(SteadyResponse::new(&grid)?)
     }
 
-    /// Steps every replica of `chunk` through all months, one replica
-    /// after another.
-    fn step_chunk(&self, chunk: &mut [ReplicaState], response: &SteadyResponse) {
-        for rs in chunk {
-            while rs.month < self.config.months {
-                self.step_month(rs, response);
-            }
-        }
-    }
-
-    /// Runs the sweep serially and durably: after every simulated month
-    /// the observer receives the complete portable [`LifetimeRunState`]
-    /// and may persist it ([`LifetimeRunState::save`]) and/or stop the
-    /// run ([`ControlFlow::Break`]). Passing a previously captured state
-    /// resumes mid-flight; the monthly step is the same code as
-    /// [`run`](LifetimeSim::run), so a killed-and-resumed run produces a
-    /// byte-identical outcome to an uninterrupted one.
+    /// Runs the replicas serially and durably, stepping one
+    /// [`LifetimeRunState`] in place: after every simulated month the
+    /// observer borrows it and may persist it
+    /// ([`LifetimeRunState::save`]) and/or stop the run
+    /// ([`ControlFlow::Break`]). Passing a previously saved state resumes
+    /// mid-flight. The monthly step and the replica fold are the same code
+    /// as [`run`](LifetimeSim::run)'s, so a killed-and-resumed run
+    /// produces a byte-identical outcome to an uninterrupted one.
     ///
     /// Returns `Ok(None)` when the observer stopped the run early,
     /// `Ok(Some(outcome))` on completion.
@@ -636,9 +669,9 @@ impl LifetimeSim {
     /// # Errors
     ///
     /// [`SnapshotError::ConfigMismatch`] (as [`EngineError::Snapshot`])
-    /// when `resume` was captured under a different configuration;
-    /// otherwise the same errors as [`run`](LifetimeSim::run), plus
-    /// whatever the observer raises.
+    /// when `resume` was captured under a different configuration or
+    /// disagrees with its own cursor; otherwise the same errors as
+    /// [`run`](LifetimeSim::run), plus whatever the observer raises.
     pub fn run_durable<F>(
         &self,
         resume: Option<LifetimeRunState>,
@@ -648,69 +681,33 @@ impl LifetimeSim {
         F: FnMut(&LifetimeRunState) -> Result<ControlFlow<()>, EngineError>,
     {
         let cfg = &self.config;
-        let digest = config_digest(cfg);
-        let nstages = cfg.layers * Unit::COUNT;
+        let mut st = match resume {
+            Some(st) => {
+                st.check_resumable(cfg)?;
+                st
+            }
+            None => LifetimeRunState {
+                config_digest: config_digest(cfg),
+                fold: ReplicaFold::default(),
+                live: ReplicaState::fresh(cfg, 0),
+            },
+        };
         let response = self.thermal_response()?;
 
-        let (mut cursor, mut live) = match resume {
-            Some(st) => {
-                if st.config_digest != digest {
-                    return Err(SnapshotError::ConfigMismatch(format!(
-                        "snapshot was captured under a different lifetime configuration \
-                         (digest {:#018x}, this run is {:#018x})",
-                        st.config_digest, digest
-                    ))
-                    .into());
-                }
-                if st.replica >= cfg.replicas || st.month > cfg.months {
-                    return Err(SnapshotError::ConfigMismatch(format!(
-                        "snapshot cursor (replica {}, month {}) lies outside the run \
-                         ({} replicas x {} months)",
-                        st.replica, st.month, cfg.replicas, cfg.months
-                    ))
-                    .into());
-                }
-                if st.alive.len() != nstages || st.wear.len() != nstages {
-                    return Err(SnapshotError::ConfigMismatch(format!(
-                        "snapshot stage vectors do not match the run's {nstages} stages"
-                    ))
-                    .into());
-                }
-                let rs = st.rebuild_replica();
-                (DurableCursor { acc: st.acc, map: st.map }, rs)
-            }
-            None => (
-                DurableCursor { acc: LifetimeSeries::default(), map: Vec::new() },
-                ReplicaState::fresh(cfg, 0),
-            ),
-        };
-
         loop {
-            while live.month < cfg.months {
-                self.step_month(&mut live, &response);
-                let portable = LifetimeRunState::capture(&cursor, &live, digest);
-                if observe(&portable)?.is_break() {
+            while st.live.month < cfg.months {
+                self.step_month(&mut st.live, &response);
+                if observe(&st)?.is_break() {
                     return Ok(None);
                 }
             }
-            accumulate(&mut cursor.acc, &live.series, cfg.replicas as f64);
-            if live.replica == 0 {
-                cursor.map = std::mem::take(&mut live.hot_map_month0);
-            }
-            let next = live.replica + 1;
+            let next = st.live.replica + 1;
+            let done = std::mem::replace(&mut st.live, ReplicaState::fresh(cfg, next));
+            st.fold.absorb(done, cfg.replicas);
             if next >= cfg.replicas {
-                break;
+                return Ok(Some(st.fold.outcome(cfg)));
             }
-            live = ReplicaState::fresh(cfg, next);
         }
-
-        Ok(Some(LifetimeOutcome {
-            policy: cfg.policy,
-            series: cursor.acc,
-            initial_hot_layer_map: cursor.map,
-            map_nx: cfg.grid.nx,
-            map_ny: cfg.grid.ny,
-        }))
     }
 
     /// Advances one replica by one month and returns the month's block
@@ -1014,27 +1011,6 @@ fn layer_mean(temps: &[f64], layer: usize) -> f64 {
     temps[base..base + Unit::COUNT].iter().sum::<f64>() / Unit::COUNT as f64
 }
 
-fn accumulate(acc: &mut LifetimeSeries, one: &LifetimeSeries, replicas: f64) {
-    let w = 1.0 / replicas;
-    if acc.months.is_empty() {
-        acc.months = one.months.clone();
-        acc.mean_vth = vec![0.0; one.months.len()];
-        acc.max_vth = vec![0.0; one.months.len()];
-        acc.mttf_months = vec![0.0; one.months.len()];
-        acc.norm_ipc = vec![0.0; one.months.len()];
-        acc.active_pipelines = vec![0.0; one.months.len()];
-        acc.hottest_layer_temp = vec![0.0; one.months.len()];
-    }
-    for i in 0..one.months.len() {
-        acc.mean_vth[i] += one.mean_vth[i] * w;
-        acc.max_vth[i] += one.max_vth[i] * w;
-        acc.mttf_months[i] += one.mttf_months[i] * w;
-        acc.norm_ipc[i] += one.norm_ipc[i] * w;
-        acc.active_pipelines[i] += one.active_pipelines[i] * w;
-        acc.hottest_layer_temp[i] += one.hottest_layer_temp[i] * w;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1079,27 +1055,6 @@ mod tests {
         assert!((profile.demand - 1.0).abs() < f64::EPSILON);
         assert!(profile.activity_weight > 0.0 && profile.activity_weight <= 1.0);
         assert!(profile_substrate(&mut sub, 0).is_err());
-    }
-
-    #[test]
-    fn thread_count_is_bit_identical() {
-        // Every worker count must produce the exact same averaged series:
-        // deterministic per-replica seeds and replica-order accumulation.
-        // Seven replicas on 1, 2, 3, 4 and 7 workers run in chunks of 7,
-        // 4, 3, 2 and 1, and all but the first and last leave a short final
-        // chunk. `run_on` does not clamp to the host's cores, so every
-        // chunk size runs on any host.
-        let mut cfg = quick_config(PolicyKind::Static);
-        cfg.replicas = 7;
-        // Enough fault pressure that replica trajectories diverge.
-        cfg.reliability.base_rate_per_month = 0.02;
-        let sim = LifetimeSim::new(cfg);
-        let serial = sim.run_on(1).unwrap();
-        for workers in [2, 3, 4, 7] {
-            let par = sim.run_on(workers).unwrap();
-            assert_eq!(serial.series, par.series, "{workers} workers");
-            assert_eq!(serial.initial_hot_layer_map, par.initial_hot_layer_map);
-        }
     }
 
     #[test]
@@ -1294,16 +1249,22 @@ mod tests {
         cfg
     }
 
-    #[test]
-    fn durable_run_matches_parallel_run() {
-        let cfg = durable_config();
-        let parallel = LifetimeSim::new(cfg.clone()).run().unwrap();
-        let durable = LifetimeSim::new(cfg)
-            .run_durable(None, |_| Ok(std::ops::ControlFlow::Continue(())))
-            .unwrap()
-            .expect("observer never breaks");
-        assert_eq!(parallel.series, durable.series, "durable runner must be bit-identical");
-        assert_eq!(parallel.initial_hot_layer_map, durable.initial_hot_layer_map);
+    /// The state a durable run of `cfg` lends its observer at month-step
+    /// `step` (1-based).
+    fn stopped_at(cfg: &LifetimeConfig, step: usize) -> LifetimeRunState {
+        let mut steps = 0;
+        let mut captured = None;
+        LifetimeSim::new(cfg.clone())
+            .run_durable(None, |st| {
+                steps += 1;
+                if steps < step {
+                    return Ok(ControlFlow::Continue(()));
+                }
+                captured = Some(st.clone());
+                Ok(ControlFlow::Break(()))
+            })
+            .unwrap();
+        captured.expect("the run reached the step")
     }
 
     #[test]
@@ -1312,20 +1273,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{}-codec", std::process::id()));
 
+        // Month 7 of replica 1: RNG advanced, faults possible, replica 0
+        // already folded in.
         let cfg = durable_config();
-        let mut captured = None;
-        LifetimeSim::new(cfg)
-            .run_durable(None, |st| {
-                // Month 7 of replica 1: RNG advanced, faults possible,
-                // replica 0 already accumulated.
-                if st.replica() == 1 && st.month() == 7 {
-                    captured = Some(st.clone());
-                    return Ok(std::ops::ControlFlow::Break(()));
-                }
-                Ok(std::ops::ControlFlow::Continue(()))
-            })
-            .unwrap();
-        let original = captured.expect("run reached replica 1, month 7");
+        let original = stopped_at(&cfg, cfg.months + 7);
         original.save(&path).unwrap();
         let reloaded = LifetimeRunState::load(&path).unwrap();
         assert_eq!(original, reloaded, "save -> load must be lossless");
@@ -1337,14 +1288,7 @@ mod tests {
         // A v4 body's config digest matches this run, so if it loaded, the
         // run would follow months of sampled forward MTTF with exact ones.
         let path = std::env::temp_dir().join(format!("r2d3-lifetime-v4-{}", std::process::id()));
-        let mut captured = None;
-        LifetimeSim::new(durable_config())
-            .run_durable(None, |st| {
-                captured = Some(st.clone());
-                Ok(std::ops::ControlFlow::Break(()))
-            })
-            .unwrap();
-        captured.expect("one month ran").save(&path).unwrap();
+        stopped_at(&durable_config(), 1).save(&path).unwrap();
         let v4 = std::fs::read_to_string(&path).unwrap().replacen(
             &format!("{} {} ", snapshot::SNAPSHOT_MAGIC, snapshot::SNAPSHOT_VERSION),
             &format!("{} 4 ", snapshot::SNAPSHOT_MAGIC),
@@ -1393,83 +1337,107 @@ mod tests {
         assert!(faults > 0, "the run must take faults");
     }
 
+    /// The lifetime determinism contract, stated once: `run` on any
+    /// worker count, `run_durable` straight through, and `run_durable`
+    /// stopped, saved, reloaded and resumed under another `threads` all
+    /// give the serial outcome, and the bytes saved at a stop are the
+    /// same whatever the worker count. Seven replicas run on the calling
+    /// thread, then on 2, 3 and 7 workers that may finish them in any
+    /// order; `run_on` does not clamp to the host's cores, so every count
+    /// runs on any host. The stops are the first step, the boundary after
+    /// replica 0 (finished but not yet folded in), an interior step and
+    /// the last.
     #[test]
-    fn stop_and_resume_is_byte_identical() {
-        let cfg = durable_config();
-        let uninterrupted = LifetimeSim::new(cfg.clone())
-            .run_durable(None, |_| Ok(std::ops::ControlFlow::Continue(())))
-            .unwrap()
-            .unwrap();
+    fn every_schedule_sees_the_serial_outcome() {
+        let cfg = LifetimeConfig { replicas: 7, ..durable_config() };
+        let months = cfg.months;
+        let stops = [
+            (1, (0, 1)),
+            (months, (0, months)),
+            (3 * months + 4, (3, 4)),
+            (7 * months, (6, months)),
+        ];
+        let workers = [1, 2, 3, 7];
+        let serial = LifetimeSim::new(cfg.clone()).run_on(1).unwrap();
+        let dir = std::env::temp_dir().join("r2d3-lifetime-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut first_bytes = Vec::new();
+        for (k, &threads) in workers.iter().enumerate() {
+            let sim = LifetimeSim::new(LifetimeConfig { threads, ..cfg.clone() });
+            assert_eq!(sim.run_on(threads).unwrap(), serial, "run on {threads} workers");
+            let straight = sim.run_durable(None, |_| Ok(ControlFlow::Continue(()))).unwrap();
+            assert_eq!(straight, Some(serial.clone()), "durable run, threads {threads}");
 
-        // Stop after 13 months total (mid-replica-1), then resume.
-        let mut steps = 0;
-        let mut captured = None;
-        LifetimeSim::new(cfg.clone())
-            .run_durable(None, |st| {
-                steps += 1;
-                if steps == 13 {
-                    captured = Some(st.clone());
-                    return Ok(std::ops::ControlFlow::Break(()));
+            let other = workers[(k + 1) % workers.len()];
+            let resumer = LifetimeSim::new(LifetimeConfig { threads: other, ..cfg.clone() });
+            for (i, &(step, cursor)) in stops.iter().enumerate() {
+                let st = stopped_at(sim.config(), step);
+                assert_eq!((st.replica(), st.month()), cursor, "cursor at step {step}");
+                let path = dir.join(format!("{}-schedule-{threads}-{step}", std::process::id()));
+                st.save(&path).unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                let reloaded = LifetimeRunState::load(&path).unwrap();
+                std::fs::remove_file(&path).unwrap();
+                match first_bytes.get(i) {
+                    None => first_bytes.push(bytes),
+                    Some(first) => assert!(&bytes == first, "step {step}: bytes under {threads}"),
                 }
-                Ok(std::ops::ControlFlow::Continue(()))
-            })
-            .unwrap();
-        let resumed = LifetimeSim::new(cfg)
-            .run_durable(captured, |_| Ok(std::ops::ControlFlow::Continue(())))
-            .unwrap()
-            .unwrap();
-        assert_eq!(uninterrupted.series, resumed.series, "resume must be bit-identical");
-        assert_eq!(uninterrupted.initial_hot_layer_map, resumed.initial_hot_layer_map);
+                let resumed =
+                    resumer.run_durable(Some(reloaded), |_| Ok(ControlFlow::Continue(()))).unwrap();
+                assert_eq!(
+                    resumed,
+                    Some(serial.clone()),
+                    "stopped at step {step} under threads {threads}, resumed under {other}"
+                );
+            }
+        }
     }
 
-    #[test]
-    fn resume_under_different_config_is_typed_error() {
-        let cfg = durable_config();
-        let mut captured = None;
-        LifetimeSim::new(cfg.clone())
-            .run_durable(None, |st| {
-                captured = Some(st.clone());
-                Ok(std::ops::ControlFlow::Break(()))
-            })
-            .unwrap();
-
-        let mut other = cfg;
-        other.seed ^= 1;
-        match LifetimeSim::new(other).run_durable(captured, |_| unreachable!()) {
+    fn assert_refused(cfg: LifetimeConfig, st: LifetimeRunState, why: &str) {
+        match LifetimeSim::new(cfg).run_durable(Some(st), |_| unreachable!()) {
             Err(EngineError::Snapshot(SnapshotError::ConfigMismatch(msg))) => {
-                assert!(msg.contains("different lifetime configuration"), "msg: {msg}");
+                assert!(msg.contains(why), "msg: {msg}");
             }
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
     }
 
     #[test]
-    fn resume_under_a_different_thread_count_is_byte_identical() {
-        // `threads` defaults to the host's parallelism, so a snapshot
-        // written on one host must resume on a host with more cores.
-        let mut cfg = durable_config();
-        cfg.threads = 1;
-        let uninterrupted = LifetimeSim::new(cfg.clone())
-            .run_durable(None, |_| Ok(std::ops::ControlFlow::Continue(())))
-            .unwrap()
-            .unwrap();
-        let mut captured = None;
-        LifetimeSim::new(cfg.clone())
-            .run_durable(None, |st| {
-                if st.replica() == 1 && st.month() == 4 {
-                    captured = Some(st.clone());
-                    return Ok(std::ops::ControlFlow::Break(()));
-                }
-                Ok(std::ops::ControlFlow::Continue(()))
-            })
-            .unwrap();
+    fn a_snapshot_whose_series_outruns_its_cursor_is_refused() {
+        // Month 5 of replica 1, with a sixth month in every series column.
+        let cfg = durable_config();
+        let mut st = stopped_at(&cfg, cfg.months + 5);
+        for (_, column) in st.live.series.columns_mut() {
+            column.push(0.0);
+        }
+        assert_refused(cfg, st, "series holds 6 months, its cursor 5");
+    }
 
-        let wider = LifetimeConfig { threads: 4, ..cfg };
-        let resumed = LifetimeSim::new(wider)
-            .run_durable(captured, |_| Ok(std::ops::ControlFlow::Continue(())))
-            .unwrap()
-            .unwrap();
-        assert_eq!(uninterrupted.series, resumed.series, "resume must be bit-identical");
-        assert_eq!(uninterrupted.initial_hot_layer_map, resumed.initial_hot_layer_map);
+    #[test]
+    fn a_snapshot_whose_accumulator_falls_short_is_refused() {
+        // Replica 0 is folded in, but one month is missing from the fold.
+        let cfg = durable_config();
+        let mut st = stopped_at(&cfg, cfg.months + 5);
+        for (_, column) in st.fold.acc.columns_mut() {
+            column.pop();
+        }
+        assert_refused(cfg, st, "accumulator holds 9 months at replica 1 of a 10-month run");
+    }
+
+    #[test]
+    fn a_snapshot_whose_month_0_map_is_cut_is_refused() {
+        // Replica 0's Fig. 6 map, folded in, lost a cell.
+        let cfg = durable_config();
+        let mut st = stopped_at(&cfg, cfg.months + 5);
+        st.fold.map.pop();
+        assert_refused(cfg, st, "month-0 maps do not match the run's 48-cell layers");
+    }
+
+    #[test]
+    fn resume_under_different_config_is_typed_error() {
+        let cfg = durable_config();
+        let st = stopped_at(&cfg, 1);
+        let other = LifetimeConfig { seed: cfg.seed ^ 1, ..cfg };
+        assert_refused(other, st, "different lifetime configuration");
     }
 }
