@@ -3,7 +3,7 @@
 use crate::collapse::{collapse_active, FaultClasses};
 use crate::fault::Fault;
 use crate::observe::structurally_observable;
-use r2d3_netlist::{pack_blocks, FaultSim, NetId, Netlist, SimBlock, SimScratch, WideScratch};
+use r2d3_netlist::{pack_blocks, FaultSim, NetId, Netlist, SimBlock, SimScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 /// amortizing each fault's cone derivation over many blocks.
 const BLOCK_BATCH: usize = 32;
 
-/// 64-pattern blocks fused into one 512-lane walk ([`WideScratch`]) —
+/// 64-pattern blocks fused into one 512-lane walk ([`SimScratch`]) —
 /// a full cache line of lanes per net, matching the SIMD kernels'
 /// widest (AVX-512) chunk.
 const LANE_GROUP: usize = 8;
@@ -260,10 +260,10 @@ pub fn run_campaign(
         }
         // Fuse the batch's good vectors into 512-lane groups, shared by
         // every fault (and every worker) this batch. The first batch's
-        // first block is covered by the narrow probe in
+        // first block is covered by the one-block probe in
         // `simulate_batch` — most detectable faults die there — so its
         // groups start at the second block. Later batches hold only
-        // hard-to-detect survivors, for which a narrow probe almost
+        // hard-to-detect survivors, for which a one-block probe almost
         // always misses; they go straight to the wide groups. A trailing
         // partial group pads by repeating its last block; `real` marks
         // how many lane groups carry genuine patterns.
@@ -365,13 +365,13 @@ type Progress = (usize, Option<FaultStatus>, usize);
 /// masks. Lanes never interact, so each fault's word is exact on its
 /// own lanes.
 ///
-/// The narrow probe walks the batch's first block once per stem, and
-/// stops once every fault's lowest masked lane is observed (the
-/// excitation freeze: each word is a subset of its mask, so its verdict
-/// and first lane are pinned). The probe block *is* the batch's first
-/// block and the wide groups then start at the second, so a hit pins
-/// exactly the pattern a block-by-block walk would have found, and a
-/// miss still charges the probe block to the accounting. Later batches
+/// The probe, a `W = 1` walk, covers the batch's first block once per
+/// stem, and stops once every fault's lowest masked lane is observed
+/// (the excitation freeze: each word is a subset of its mask, so its
+/// verdict and first lane are pinned). The probe block *is* the batch's
+/// first block and the wide groups then start at the second, so a hit
+/// pins exactly the pattern a block-by-block walk would have found, and
+/// a miss still charges the probe block to the accounting. Later batches
 /// hold hard-to-detect survivors and skip the probe. Each lane group
 /// then walks once per stem whose union is nonzero on a real block; a
 /// fault detected in group `g` skips later groups, and within a group
@@ -391,18 +391,18 @@ fn simulate_batch(
     // Mirrors the group slicing in `run_campaign`.
     let probe = batch_start == 0;
     if probe {
-        let good = &goods[0];
-        let mut narrow = SimScratch::new();
+        let good = goods[0].as_chunks::<1>().0;
+        let mut probe_scratch = SimScratch::<1>::new();
         for_each_stem(
             engine,
             faults,
             &mut results,
-            good.as_chunks::<1>().0,
+            good,
             1,
             |stem, union, masks| {
                 let exit = masks.iter().fold(0, |e, (_, [m])| e | (m & m.wrapping_neg()));
-                engine.seeded_walk(good, stem, union[0], exit, &mut narrow);
-                [engine.detect_word(good, &narrow)]
+                engine.seeded_walk(good, stem, union, [exit], &mut probe_scratch);
+                probe_scratch.detect_words()
             },
             |(_, detected, blocks_used), [word]| {
                 *blocks_used = batch_start + 1;
@@ -413,7 +413,7 @@ fn simulate_batch(
             },
         );
     }
-    let mut wide = WideScratch::<LANE_GROUP>::new();
+    let mut wide = SimScratch::<LANE_GROUP>::new();
     for (gi, (good, real)) in groups.iter().enumerate() {
         let group_start = batch_start + usize::from(probe) + gi * LANE_GROUP;
         for_each_stem(
@@ -423,7 +423,7 @@ fn simulate_batch(
             good,
             *real,
             |stem, union, _| {
-                engine.seeded_walk_wide(good, stem, union, &mut wide);
+                engine.seeded_walk(good, stem, union, [0; LANE_GROUP], &mut wide);
                 wide.detect_words()
             },
             |(_, detected, blocks_used), words| {
@@ -552,32 +552,6 @@ pub fn run_campaign_reference(
     }
 
     CampaignOutcome { faults: faults.to_vec(), statuses, patterns_applied: blocks_applied * 64 }
-}
-
-/// Validates `netlist`, runs the standard IR rewrite pipeline, and
-/// campaigns over the **full stuck-at universe of the post-rewrite
-/// netlist** ([`all_faults`](crate::fault::all_faults) on the rewritten
-/// IR). This is the fault-universe convention for optimized logic: sites
-/// that the rewrite folds away (dead cones, merged duplicates) do not
-/// exist in the manufactured circuit model, so they are not enumerated.
-///
-/// Returns the rewrite outcome (rewritten netlist + original-net
-/// survival map + pass statistics) alongside the campaign outcome, so
-/// callers can relate pre-rewrite sites to post-rewrite verdicts via
-/// [`r2d3_netlist::RewriteOutcome::net_map`].
-///
-/// # Errors
-///
-/// Returns the [`r2d3_netlist::IrError`] if `netlist` fails IR
-/// validation.
-pub fn run_campaign_rewritten(
-    netlist: &Netlist,
-    config: &CampaignConfig,
-) -> Result<(r2d3_netlist::RewriteOutcome, CampaignOutcome), r2d3_netlist::IrError> {
-    let rewritten = r2d3_netlist::rewrite(netlist)?;
-    let faults = crate::fault::all_faults(&rewritten.netlist);
-    let outcome = run_campaign(&rewritten.netlist, &faults, config);
-    Ok((rewritten, outcome))
 }
 
 #[cfg(test)]

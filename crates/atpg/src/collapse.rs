@@ -211,7 +211,7 @@ pub fn collapse_active(
 mod tests {
     use super::*;
     use crate::fault::all_faults;
-    use r2d3_netlist::{FaultCone, FaultSim, NetlistBuilder, SimScratch};
+    use r2d3_netlist::{FaultSim, NetlistBuilder, SimScratch};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -317,18 +317,19 @@ mod tests {
         assert!(classes.class_count() < faults.len(), "something must collapse");
 
         let sim = FaultSim::new(&nl);
-        let mut cone = FaultCone::new();
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::<1>::new();
         let mut rng = StdRng::seed_from_u64(0xC011A);
         for _ in 0..8 {
             let inputs: Vec<u64> = (0..nl.num_inputs()).map(|_| rng.gen()).collect();
             let good = nl.eval_all(&inputs);
+            let good = good.as_chunks::<1>().0;
             let words: Vec<u64> = faults
                 .iter()
                 .map(|f| {
-                    sim.cone_into(f.net, &mut cone);
-                    sim.eval_stuck(&good, (f.net, f.stuck), &cone, &mut scratch);
-                    sim.detect_word(&good, &scratch)
+                    let [g] = good[f.net.index()];
+                    let excite = if f.stuck { !g } else { g };
+                    sim.seeded_walk(good, f.net, [excite], [0], &mut scratch);
+                    scratch.detect_words()[0]
                 })
                 .collect();
             for (fi, fa) in faults.iter().enumerate() {

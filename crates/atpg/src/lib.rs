@@ -48,8 +48,7 @@ pub mod podem;
 pub mod report;
 
 pub use campaign::{
-    run_campaign, run_campaign_reference, run_campaign_rewritten, CampaignConfig, CampaignOutcome,
-    FaultStatus,
+    run_campaign, run_campaign_reference, CampaignConfig, CampaignOutcome, FaultStatus,
 };
 pub use collapse::{collapse_active, FaultClasses};
 pub use fault::{all_faults, collapsed_faults, Fault};
@@ -58,4 +57,4 @@ pub use observe::{
     core_level_campaign, core_level_campaign_rewritten, structurally_observable, CoreCampaignError,
 };
 pub use podem::{podem, PodemResult};
-pub use report::{latency_histogram, unit_report, LatencyBucket, UnitReport};
+pub use report::{unit_report, LatencyBucket, UnitReport};

@@ -125,19 +125,6 @@ pub fn unit_report(label: impl Into<String>, outcome: &CampaignOutcome) -> UnitR
     report
 }
 
-/// Latency histogram over detected faults as fractions of detectable
-/// faults, in [`LatencyBucket::ALL`] order.
-#[must_use]
-pub fn latency_histogram(outcome: &CampaignOutcome) -> [f64; 4] {
-    let report = unit_report("", outcome);
-    let detectable = (report.detected + report.undetected).max(1) as f64;
-    let mut h = [0.0; 4];
-    for (i, count) in report.latency.iter().enumerate() {
-        h[i] = *count as f64 / detectable;
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,11 +95,6 @@ impl<S: ReliabilitySubstrate> Adversary<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    /// The wrapped substrate, mutably (direct ground-truth injection).
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
 }
 
 impl<S: ReliabilitySubstrate> ReliabilitySubstrate for Adversary<S> {

@@ -374,23 +374,10 @@ impl<S: ReliabilitySubstrate, T: TelemetrySink> R2d3Engine<S, T> {
         self.believed_faulty.contains(&stage)
     }
 
-    /// Whether the controller has quarantined `link`'s vertical TSV
-    /// bundle as a routing constraint (the stage itself stays usable).
-    #[must_use]
-    pub fn is_link_quarantined(&self, link: StageId) -> bool {
-        self.quarantined_links.contains(&link)
-    }
-
     /// The installed telemetry sink.
     #[must_use]
     pub fn telemetry(&self) -> &T {
         &self.sink
-    }
-
-    /// The installed telemetry sink, mutably (e.g. to drain a
-    /// [`crate::telemetry::RingSink`] between epochs).
-    pub fn telemetry_mut(&mut self) -> &mut T {
-        &mut self.sink
     }
 
     /// Consumes the engine and returns the telemetry sink — needed for

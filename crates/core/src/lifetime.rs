@@ -381,20 +381,22 @@ impl LifetimeRunState {
     }
 
     /// Refuses a state that `cfg`'s run cannot continue: another
-    /// configuration, a cursor outside the run, or stage vectors, series
-    /// or month-0 maps that disagree with the cursor.
+    /// configuration is a [`SnapshotError::ConfigMismatch`]; a cursor
+    /// outside the run, or stage vectors, series or month-0 maps that
+    /// disagree with the cursor, a [`SnapshotError::Malformed`] body.
     fn check_resumable(&self, cfg: &LifetimeConfig) -> Result<(), SnapshotError> {
         let digest = config_digest(cfg);
-        let nstages = cfg.layers * Unit::COUNT;
-        let cells = cfg.grid.nx * cfg.grid.ny;
-        let (live, acc) = (&self.live, &self.fold.acc);
-        let mismatch = if self.config_digest != digest {
-            format!(
+        if self.config_digest != digest {
+            return Err(SnapshotError::ConfigMismatch(format!(
                 "snapshot was captured under a different lifetime configuration \
                  (digest {:#018x}, this run is {:#018x})",
                 self.config_digest, digest
-            )
-        } else if live.replica >= cfg.replicas || live.month > cfg.months {
+            )));
+        }
+        let nstages = cfg.layers * Unit::COUNT;
+        let cells = cfg.grid.nx * cfg.grid.ny;
+        let (live, acc) = (&self.live, &self.fold.acc);
+        let malformed = if live.replica >= cfg.replicas || live.month > cfg.months {
             format!(
                 "snapshot cursor (replica {}, month {}) lies outside the run \
                  ({} replicas x {} months)",
@@ -422,7 +424,7 @@ impl LifetimeRunState {
         } else {
             return Ok(());
         };
-        Err(SnapshotError::ConfigMismatch(mismatch))
+        Err(SnapshotError::Malformed(malformed))
     }
 
     /// Atomically persists the state at `path` (see [`snapshot`]).
@@ -669,9 +671,10 @@ impl LifetimeSim {
     /// # Errors
     ///
     /// [`SnapshotError::ConfigMismatch`] (as [`EngineError::Snapshot`])
-    /// when `resume` was captured under a different configuration or
-    /// disagrees with its own cursor; otherwise the same errors as
-    /// [`run`](LifetimeSim::run), plus whatever the observer raises.
+    /// when `resume` was captured under a different configuration, and
+    /// [`SnapshotError::Malformed`] when it disagrees with its own cursor;
+    /// otherwise the same errors as [`run`](LifetimeSim::run), plus
+    /// whatever the observer raises.
     pub fn run_durable<F>(
         &self,
         resume: Option<LifetimeRunState>,
@@ -1393,12 +1396,18 @@ mod tests {
         }
     }
 
-    fn assert_refused(cfg: LifetimeConfig, st: LifetimeRunState, why: &str) {
+    fn refusal(cfg: LifetimeConfig, st: LifetimeRunState) -> SnapshotError {
         match LifetimeSim::new(cfg).run_durable(Some(st), |_| unreachable!()) {
-            Err(EngineError::Snapshot(SnapshotError::ConfigMismatch(msg))) => {
-                assert!(msg.contains(why), "msg: {msg}");
-            }
-            other => panic!("expected ConfigMismatch, got {other:?}"),
+            Err(EngineError::Snapshot(e)) => e,
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+    }
+
+    /// A body inconsistent with its own cursor is malformed, not foreign.
+    fn assert_refused(cfg: LifetimeConfig, st: LifetimeRunState, why: &str) {
+        match refusal(cfg, st) {
+            SnapshotError::Malformed(msg) => assert!(msg.contains(why), "msg: {msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
         }
     }
 
@@ -1438,6 +1447,11 @@ mod tests {
         let cfg = durable_config();
         let st = stopped_at(&cfg, 1);
         let other = LifetimeConfig { seed: cfg.seed ^ 1, ..cfg };
-        assert_refused(other, st, "different lifetime configuration");
+        match refusal(other, st) {
+            SnapshotError::ConfigMismatch(msg) => {
+                assert!(msg.contains("different lifetime configuration"), "msg: {msg}");
+            }
+            other => panic!("expected ConfigMismatch, got {other:?}"),
+        }
     }
 }

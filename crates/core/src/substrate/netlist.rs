@@ -21,7 +21,7 @@ use crate::EngineError;
 use r2d3_isa::Unit;
 use r2d3_netlist::netlist::{NetId, Netlist};
 use r2d3_netlist::stages::{stage_netlist, StageNetlist, StageSizing};
-use r2d3_netlist::{FaultCone, FaultSim, SimScratch};
+use r2d3_netlist::{FaultSim, SimScratch};
 use r2d3_pipeline_sim::{ActivityStats, Fabric, LinkFault, StageId, StageRecord, TraceRing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -393,12 +393,12 @@ impl NetlistSubstrate {
         // per (stage, block).
         let unit = stage.unit.index();
         let good = self.good_values(unit, block);
+        let good = good.as_chunks::<1>().0;
         let sim = &self.scan_sims[unit];
-        let mut cone = FaultCone::new();
-        let mut scratch = SimScratch::new();
-        sim.cone_into(fault.net, &mut cone);
-        sim.eval_stuck(&good, (fault.net, fault.stuck), &cone, &mut scratch);
-        let fold = fold_lanes(sim.outputs(), |net| scratch.value(&good, net));
+        let forced = if fault.stuck { !0 } else { 0 };
+        let mut scratch = SimScratch::<1>::new();
+        sim.seeded_walk(good, fault.net, [forced ^ good[fault.net.index()][0]], [0], &mut scratch);
+        let fold = fold_lanes(sim.outputs(), |net| scratch.value(good, net)[0]);
         let mut cache = self.cache.borrow_mut();
         if cache.faulty.len() >= CACHE_CAP {
             cache.faulty.clear();

@@ -274,21 +274,6 @@ impl Instruction {
             Instruction::Trap { .. } | Instruction::Nop | Instruction::Halt => [None, None, None],
         }
     }
-
-    /// Returns `true` for control-flow instructions (branches and jumps).
-    #[must_use]
-    pub fn is_control_flow(self) -> bool {
-        matches!(
-            self,
-            Instruction::Branch { .. } | Instruction::Jal { .. } | Instruction::Jalr { .. }
-        )
-    }
-
-    /// Returns `true` for memory instructions.
-    #[must_use]
-    pub fn is_memory(self) -> bool {
-        matches!(self, Instruction::Load { .. } | Instruction::Store { .. })
-    }
 }
 
 impl fmt::Display for Instruction {

@@ -26,12 +26,6 @@ impl LevelMap {
         self.net_level[net.index()]
     }
 
-    /// Levels for all nets, indexed by net id.
-    #[must_use]
-    pub fn net_levels(&self) -> &[u32] {
-        &self.net_level
-    }
-
     /// Consumes the map, returning the per-net level vector.
     #[must_use]
     pub fn into_net_levels(self) -> Vec<u32> {

@@ -66,7 +66,7 @@ pub use ir::{
 pub use netlist::{
     compose_chain, compose_chain_with, ComposeOptions, Gate, GateKind, NetId, Netlist,
 };
-pub use sim::{pack_blocks, FaultCone, FaultSim, SimBlock, SimScratch, SimdKernel, WideScratch};
+pub use sim::{pack_blocks, FaultSim, SimBlock, SimScratch, SimdKernel};
 pub use stages::{stage_netlist, StageNetlist, StageSizing};
 pub use yosys_json::{parse_yosys_json, ImportedCore, YosysJsonError};
 

@@ -4,37 +4,34 @@
 //! every pattern block. That is wasteful: a stuck-at fault only disturbs
 //! the nets in its *fanout cone*, and on most pattern blocks the
 //! disturbance dies out (logic masking) long before it reaches the
-//! outputs. This module exploits both effects:
+//! outputs. [`FaultSim`] exploits both effects with one walk,
+//! [`FaultSim::seeded_walk`]:
 //!
-//! * [`FaultSim`] precomputes a CSR fanout adjacency (which gates read
+//! * The engine precomputes a CSR fanout adjacency (which gates read
 //!   each net) over the netlist, with gates permuted into **level-major
 //!   slot order**: a stable sort of the topological gate order by logic
 //!   level. Slot order is still topological, and every level occupies a
-//!   contiguous slot run ("bucket"), so the event walk tests its frontier
-//!   horizon once per bucket instead of once per gate.
-//! * [`FaultSim::cone_into`] derives, once per fault site, the list of
-//!   gates structurally reachable from the faulty net (ascending slot
-//!   order), pre-split into level runs.
-//! * [`FaultSim::eval_stuck`] starts from a cached good-value vector and
-//!   simulates *only* the cone, stamping nets whose faulty value differs
-//!   from the good value into an epoch-tagged [`SimScratch`]. The walk
-//!   early-exits as soon as the event frontier has converged back to the
-//!   good values (no remaining cone gate reads a differing net).
+//!   contiguous slot run ("bucket"), so the walk tests its frontier
+//!   horizon once per bucket or bitset word instead of once per gate.
+//! * A walk flips one net on chosen lanes of `W` 64-lane pattern blocks
+//!   ([`SimBlock<W>`], `W × 64` lanes) against cached good values and
+//!   simulates *only* the net's cone: its precomputed cone-bitset row, or
+//!   when the bitsets exceed their memory budget, its gate list derived
+//!   per walk. Nets whose faulty value differs from the good value are
+//!   recorded in a [`SimScratch`]. The walk early-exits as soon as the
+//!   event frontier has converged back to the good values (no remaining
+//!   cone gate reads a differing net).
 //!
-//! The result is bit-identical to [`Netlist::eval_all_stuck`] — that
-//! method stays as the reference oracle — at a fraction of the work:
-//! cost per (fault, block) is `O(active cone)` instead of `O(gates)`.
-//!
-//! Campaigns classify faults with **seeded-difference walks**, which
-//! flip one net on chosen lanes and report the lanes on which the flip
-//! reaches an output: [`FaultSim::seeded_walk`] over one 64-lane block,
-//! and [`FaultSim::seeded_walk_wide`] with [`WideScratch`] over **`W`
-//! pattern blocks (`W × 64` lanes) per walk**. In the wide walk each net
-//! carries a [`SimBlock<W>`] of independent lane groups, so one pass
-//! over the cone amortizes the event-walk bookkeeping (frontier test,
-//! touched-list maintenance, gate decode) across `W`× the patterns.
-//! Lane groups never mix; per group the walk is bit-identical to the
-//! narrow one, which keeps group-aware detection accounting exact.
+//! A stuck-at-`v` fault on net `n` is the flip of `n` on the lanes where
+//! its good value is not `v`. Seeded so, the walk is bit-identical to
+//! [`Netlist::eval_all_stuck`] — that method stays as the reference
+//! oracle — at a fraction of the work: cost per (fault, block) is
+//! `O(active cone)` instead of `O(gates)`. Lane groups never mix, so
+//! group `g` of a `W`-block walk is bit-identical to the `W = 1` walk of
+//! block `g` alone, which keeps group-aware detection accounting exact,
+//! while one pass over the cone amortizes the walk's bookkeeping
+//! (frontier test, touched-list maintenance, gate decode) across `W`×
+//! the patterns.
 //!
 //! A walk serves every fault of a **fanout-free region** at once. Inside
 //! such a region each net has one reader and is not an output, so a
@@ -44,7 +41,7 @@
 //! seeded at the stem with the union of those lanes then detects each
 //! fault exactly on its own lanes.
 //!
-//! The wide inner loop is **runtime-dispatched** over [`SimdKernel`]
+//! The inner loop is **runtime-dispatched** over [`SimdKernel`]
 //! backends (scalar, AVX2, AVX-512, NEON). Every backend computes the
 //! same lane-wise boolean algebra, so detection words are byte-identical
 //! across kernels — the differential tests in this module and in
@@ -74,7 +71,7 @@ const CONE_BITS_BUDGET: usize = 16 << 20;
 const NO_READER: u32 = u32::MAX;
 
 /// `W` independent 64-lane pattern blocks carried by one net during a
-/// wide walk: `W × 64` test patterns per gate evaluation.
+/// walk: `W × 64` test patterns per gate evaluation.
 pub type SimBlock<const W: usize> = [u64; W];
 
 /// One gate flattened to 16 bytes for the hot walk: three input pins
@@ -167,14 +164,24 @@ impl PackedGate {
     }
 }
 
-/// One gate step of the event-driven walk: reads the XOR-difference
-/// overlay, fires the gate branchlessly if any input differs, records
-/// the output difference, and extends the frontier horizon.
+/// One gate step of the event-driven walk over `W` 64-lane pattern
+/// blocks: reads the XOR-difference overlay, fires the gate branchlessly
+/// if any input differs in any lane group, records the output difference,
+/// and extends the frontier horizon. Lanes never interact — each
+/// [`SimBlock<W>`] entry is `W` independent difference words — so the
+/// result per lane group is bit-identical to firing on that block alone,
+/// except that the shared frontier keeps walking while *any* lane group
+/// still differs (extra fired gates write zero difference for converged
+/// lanes).
 ///
 /// The body is branchless apart from the dead-input skip: gate kinds and
 /// outcomes are data-dependent with no usable pattern, so ALU selects
 /// beat an indirect jump and conditional stores here, while dead
 /// stretches of a converging frontier reduce to three loads per gate.
+///
+/// This is the portable reference kernel; the SIMD kernels below compute
+/// the identical boolean algebra chunk-wise and are pinned to it by
+/// differential tests.
 ///
 /// # Safety
 ///
@@ -183,66 +190,10 @@ impl PackedGate {
 /// against a `good` slice of `num_nets` values and a scratch sized by
 /// [`SimScratch::begin`].
 #[inline(always)]
-unsafe fn fire_gate(p: &PackedGate, good: &[u64], scratch: &mut SimScratch, last_needed: &mut u32) {
-    let [a, b, c] = p.pins;
-    // SAFETY: pins/output range-checked at construction (caller contract).
-    let (da, db, dc) = unsafe {
-        (
-            *scratch.diff.get_unchecked(a as usize),
-            *scratch.diff.get_unchecked(b as usize),
-            *scratch.diff.get_unchecked(c as usize),
-        )
-    };
-    // No differing input ⇒ the gate reproduces its good value.
-    if da | db | dc == 0 {
-        return;
-    }
-    // SAFETY: same in-range guarantee as above.
-    let (va, vb, vc) = unsafe {
-        (
-            *good.get_unchecked(a as usize) ^ da,
-            *good.get_unchecked(b as usize) ^ db,
-            *good.get_unchecked(c as usize) ^ dc,
-        )
-    };
-    let v = p.eval(va, vb, vc);
-    let out = p.output() as usize;
-    // SAFETY: `out < num_nets` per the construction-time assert.
-    let d = unsafe {
-        let d = v ^ *good.get_unchecked(out);
-        *scratch.diff.get_unchecked_mut(out) = d;
-        d
-    };
-    scratch.touched.push(out as u32);
-    // Primary outputs feed the detection word as they are walked.
-    scratch.out_diff |= d & (u64::from(p.ko) >> 3 & 1).wrapping_neg();
-    // Branchless frontier extension: differing outputs push the walk's
-    // horizon to their last reader (folded into the packed record).
-    let gated = p.lr & u32::from(d != 0).wrapping_neg();
-    *last_needed = (*last_needed).max(gated);
-}
-
-/// Scalar `W`-block variant of [`fire_gate`]: one gate step over `W`
-/// 64-lane pattern blocks at once. Lanes never interact — each
-/// [`SimBlock<W>`] entry is `W` independent difference words — so the
-/// result per lane group is bit-identical to running [`fire_gate`] on
-/// that block alone, except that the shared frontier keeps walking while
-/// *any* lane group still differs (extra fired gates write zero
-/// difference for converged lanes).
-///
-/// This is the portable reference kernel; the SIMD kernels below compute
-/// the identical boolean algebra chunk-wise and are pinned to it by
-/// differential tests.
-///
-/// # Safety
-///
-/// Same contract as [`fire_gate`]: `p.pins` and `p.output()` must be in
-/// range for both `good` and `scratch.diff`.
-#[inline(always)]
-unsafe fn fire_gate_wide_scalar<const W: usize>(
+unsafe fn fire_gate_scalar<const W: usize>(
     p: &PackedGate,
     good: &[SimBlock<W>],
-    scratch: &mut WideScratch<W>,
+    scratch: &mut SimScratch<W>,
     last_needed: &mut u32,
 ) {
     let [a, b, c] = p.pins;
@@ -305,22 +256,22 @@ unsafe fn fire_gate_wide_scalar<const W: usize>(
     *last_needed = (*last_needed).max(gated);
 }
 
-/// AVX2 kernel: the same gate step as [`fire_gate_wide_scalar`], four
+/// AVX2 kernel: the same gate step as [`fire_gate_scalar`], four
 /// lane groups (256 bits) per vector op. `W` must be a multiple of 4
 /// ([`effective_kernel`] guarantees it).
 ///
 /// # Safety
 ///
-/// Caller must guarantee the [`fire_gate`] range contract, `W % 4 == 0`,
-/// and that the CPU supports AVX2 (the enclosing walk is gated on
-/// runtime detection).
+/// Caller must guarantee the [`fire_gate_scalar`] range contract,
+/// `W % 4 == 0`, and that the CPU supports AVX2 (the enclosing walk is
+/// gated on runtime detection).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn fire_gate_wide_avx2<const W: usize>(
+unsafe fn fire_gate_avx2<const W: usize>(
     p: &PackedGate,
     good: &[SimBlock<W>],
-    scratch: &mut WideScratch<W>,
+    scratch: &mut SimScratch<W>,
     last_needed: &mut u32,
 ) {
     use core::arch::x86_64::*;
@@ -393,15 +344,15 @@ unsafe fn fire_gate_wide_avx2<const W: usize>(
 ///
 /// # Safety
 ///
-/// Caller must guarantee the [`fire_gate`] range contract, `W % 8 == 0`,
-/// and that the CPU supports AVX-512F.
+/// Caller must guarantee the [`fire_gate_scalar`] range contract,
+/// `W % 8 == 0`, and that the CPU supports AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn fire_gate_wide_avx512<const W: usize>(
+unsafe fn fire_gate_avx512<const W: usize>(
     p: &PackedGate,
     good: &[SimBlock<W>],
-    scratch: &mut WideScratch<W>,
+    scratch: &mut SimScratch<W>,
     last_needed: &mut u32,
 ) {
     use core::arch::x86_64::*;
@@ -472,15 +423,15 @@ unsafe fn fire_gate_wide_avx512<const W: usize>(
 ///
 /// # Safety
 ///
-/// Caller must guarantee the [`fire_gate`] range contract, `W % 2 == 0`,
-/// and that the CPU supports NEON.
+/// Caller must guarantee the [`fire_gate_scalar`] range contract,
+/// `W % 2 == 0`, and that the CPU supports NEON.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
 #[inline]
-unsafe fn fire_gate_wide_neon<const W: usize>(
+unsafe fn fire_gate_neon<const W: usize>(
     p: &PackedGate,
     good: &[SimBlock<W>],
-    scratch: &mut WideScratch<W>,
+    scratch: &mut SimScratch<W>,
     last_needed: &mut u32,
 ) {
     use core::arch::aarch64::*;
@@ -544,9 +495,9 @@ unsafe fn fire_gate_wide_neon<const W: usize>(
     }
 }
 
-/// Generates the two wide walk bodies (materialized-cone walk and
-/// cone-bitset row walk) for one fire kernel, optionally compiled under
-/// a `#[target_feature]` so the `#[inline]` fire kernel fuses into a
+/// Generates the two walk bodies (materialized-cone walk and cone-bitset
+/// row walk) for one fire kernel, optionally compiled under a
+/// `#[target_feature]` so the `#[inline]` fire kernel fuses into a
 /// vectorized loop.
 ///
 /// The walks are where the levelized scheduling lives:
@@ -558,9 +509,13 @@ unsafe fn fire_gate_wide_neon<const W: usize>(
 ///   all-zero difference inputs);
 /// * the row walk tests the horizon once per 64-gate bitset word for
 ///   the same reason.
+///
+/// Both test the exit mask ([`SimScratch::exited`]) at the same
+/// granularity, after each run or word, so every kernel stops at the
+/// same gate.
 macro_rules! wide_walks {
     ($cone_walk:ident, $row_walk:ident, $fire:ident $(, enable = $feat:literal)?) => {
-        /// Materialized-cone wide walk (see [`wide_walks!`]).
+        /// Materialized-cone walk (see [`wide_walks!`]).
         ///
         /// # Safety
         ///
@@ -572,7 +527,8 @@ macro_rules! wide_walks {
         unsafe fn $cone_walk<const W: usize>(
             cone: &FaultCone,
             good: &[SimBlock<W>],
-            scratch: &mut WideScratch<W>,
+            exit: &SimBlock<W>,
+            scratch: &mut SimScratch<W>,
             mut last_needed: u32,
         ) {
             for run in cone.runs.windows(2) {
@@ -590,10 +546,13 @@ macro_rules! wide_walks {
                     // SAFETY: caller discharges the fire contract.
                     unsafe { $fire::<W>(p, good, scratch, &mut last_needed) };
                 }
+                if scratch.exited(exit) {
+                    break;
+                }
             }
         }
 
-        /// Cone-bitset row wide walk (see [`wide_walks!`]).
+        /// Cone-bitset row walk (see [`wide_walks!`]).
         ///
         /// # Safety
         ///
@@ -604,7 +563,8 @@ macro_rules! wide_walks {
             row: &[u64],
             packed: &[PackedGate],
             good: &[SimBlock<W>],
-            scratch: &mut WideScratch<W>,
+            exit: &SimBlock<W>,
+            scratch: &mut SimScratch<W>,
             mut last_needed: u32,
         ) {
             for (wi, &wbits) in row.iter().enumerate() {
@@ -626,21 +586,24 @@ macro_rules! wide_walks {
                         $fire::<W>(p, good, scratch, &mut last_needed);
                     }
                 }
+                if scratch.exited(exit) {
+                    break;
+                }
             }
         }
     };
 }
 
-wide_walks!(cone_walk_scalar, row_walk_scalar, fire_gate_wide_scalar);
+wide_walks!(cone_walk_scalar, row_walk_scalar, fire_gate_scalar);
 #[cfg(target_arch = "x86_64")]
-wide_walks!(cone_walk_avx2, row_walk_avx2, fire_gate_wide_avx2, enable = "avx2");
+wide_walks!(cone_walk_avx2, row_walk_avx2, fire_gate_avx2, enable = "avx2");
 #[cfg(target_arch = "x86_64")]
-wide_walks!(cone_walk_avx512, row_walk_avx512, fire_gate_wide_avx512, enable = "avx512f");
+wide_walks!(cone_walk_avx512, row_walk_avx512, fire_gate_avx512, enable = "avx512f");
 #[cfg(target_arch = "aarch64")]
-wide_walks!(cone_walk_neon, row_walk_neon, fire_gate_wide_neon, enable = "neon");
+wide_walks!(cone_walk_neon, row_walk_neon, fire_gate_neon, enable = "neon");
 
-/// SIMD backend for the wide event walk, selected at runtime via CPU
-/// feature detection ([`SimdKernel::detect`]) and overridable per engine
+/// SIMD backend for the event walk, selected at runtime via CPU feature
+/// detection ([`SimdKernel::detect`]) and overridable per engine
 /// ([`FaultSim::set_kernel`]).
 ///
 /// Every kernel computes the identical lane-wise boolean algebra, so
@@ -757,9 +720,8 @@ struct ConeBits {
 /// Internally, gates are addressed by **slot**: a stable permutation of
 /// the netlist's topological gate order sorted by logic level. All
 /// adjacency tables (`readers`, `last_reader`, cone bitsets, packed gate
-/// records) speak slot indices; [`FaultCone::gates`] therefore also
-/// yields slots. Slot order is itself topological, so every walk over
-/// ascending slots is a valid evaluation order.
+/// records) speak slot indices. Slot order is itself topological, so
+/// every walk over ascending slots is a valid evaluation order.
 #[derive(Debug, Clone)]
 pub struct FaultSim {
     num_nets: usize,
@@ -791,16 +753,9 @@ pub struct FaultSim {
     /// read each other's outputs, which lets walks fire whole runs
     /// without per-gate frontier tests.
     bucket_end: Vec<u32>,
-    /// Per slot: the gate's logic level (≥ 1; primary inputs and
-    /// constants sit at level 0). The levelized event walk buckets
-    /// scheduled gates by this.
-    slot_level: Vec<u32>,
-    /// `max(slot_level) + 1` — bucket count for the levelized event walk
-    /// (0 on a gate-free netlist).
-    num_levels: usize,
     /// Precomputed transitive fanout, when it fits [`CONE_BITS_BUDGET`].
     cone_bits: Option<ConeBits>,
-    /// Wide-walk SIMD backend ([`SimdKernel::detect`] at construction).
+    /// The walks' SIMD backend ([`SimdKernel::detect`] at construction).
     kernel: SimdKernel,
 }
 
@@ -885,8 +840,8 @@ impl FaultSim {
                 PackedGate::new(gate, is_output[out], slot as u32, last_reader[out])
             })
             .collect();
-        // Soundness gate for the unchecked loads in `eval_stuck`: every
-        // pin and output index is in range for a `num_nets`-sized vector.
+        // Soundness gate for the walks' unchecked loads: every pin and
+        // output index is in range for a `num_nets`-sized vector.
         for p in &packed {
             assert!(
                 p.pins.iter().all(|&n| (n as usize) < num_nets) && (p.output() as usize) < num_nets,
@@ -918,7 +873,6 @@ impl FaultSim {
             None
         };
 
-        let num_levels = slot_level.last().map_or(0, |&l| l as usize + 1);
         FaultSim {
             num_nets,
             num_gates,
@@ -930,8 +884,6 @@ impl FaultSim {
             single_reader,
             packed,
             bucket_end,
-            slot_level,
-            num_levels,
             cone_bits,
             kernel: SimdKernel::detect(),
         }
@@ -955,13 +907,13 @@ impl FaultSim {
         &self.outputs
     }
 
-    /// The SIMD backend wide walks currently dispatch to.
+    /// The SIMD backend walks currently dispatch to.
     #[must_use]
     pub fn kernel(&self) -> SimdKernel {
         self.kernel
     }
 
-    /// Pins the wide-walk backend to `kernel`. Returns `false` (leaving
+    /// Pins the walks' backend to `kernel`. Returns `false` (leaving
     /// the engine unchanged) if the running CPU does not support it.
     /// Lane widths a kernel cannot divide still degrade per call — see
     /// [`SimdKernel`].
@@ -984,9 +936,9 @@ impl FaultSim {
     /// Rebuilds `cone` as the fanout cone of `net`: every gate whose value
     /// can be disturbed by a stuck-at fault on `net`, in ascending
     /// (levelized) slot order, pre-split into level runs. Buffers inside
-    /// `cone` are reused across calls, so deriving one cone per fault
-    /// site is cheap.
-    pub fn cone_into(&self, net: NetId, cone: &mut FaultCone) {
+    /// `cone` are reused across calls, so deriving one cone per walk is
+    /// cheap.
+    fn cone_into(&self, net: NetId, cone: &mut FaultCone) {
         cone.begin();
         if let Some(cb) = &self.cone_bits {
             // Precomputed closure: emit set bits, ascending by construction.
@@ -1035,69 +987,6 @@ impl FaultSim {
         cone.runs.push(cone.gates.len() as u32);
     }
 
-    /// Convenience wrapper around [`cone_into`](FaultSim::cone_into)
-    /// allocating a fresh [`FaultCone`].
-    #[must_use]
-    pub fn cone(&self, net: NetId) -> FaultCone {
-        let mut cone = FaultCone::new();
-        self.cone_into(net, &mut cone);
-        cone
-    }
-
-    /// Event-driven fault evaluation against a cached good-value vector.
-    ///
-    /// `good` must be `netlist.eval_all(..)` for the pattern block being
-    /// simulated, and `cone` the [`cone_into`](FaultSim::cone_into) result
-    /// for `stuck.0`. Afterwards `scratch` holds the nets whose faulty
-    /// value differs from `good` (query via [`SimScratch::value`],
-    /// [`FaultSim::detect_word`] or [`FaultSim::output_diffs`]).
-    ///
-    /// Bit-identical to [`Netlist::eval_all_stuck`] on every net.
-    pub fn eval_stuck(
-        &self,
-        good: &[u64],
-        stuck: (NetId, bool),
-        cone: &FaultCone,
-        scratch: &mut SimScratch,
-    ) {
-        // Hard assert: with `scratch.begin` sizing `diff` to `num_nets`
-        // and the construction-time pin-range check, this is the last
-        // bound the unchecked loads below rely on.
-        assert_eq!(good.len(), self.num_nets, "good vector length");
-        scratch.begin(self.num_nets);
-        let (fnet, fval) = stuck;
-        let forced = if fval { !0u64 } else { 0u64 };
-        if good[fnet.index()] == forced {
-            // The net already carries the forced value in all 64 lanes:
-            // the faulty circuit is indistinguishable on this block.
-            return;
-        }
-        let fdiff = forced ^ good[fnet.index()];
-        scratch.set_diff(fnet, fdiff);
-        // A fault on a primary-output net is directly observable.
-        scratch.out_diff |= fdiff & u64::from(self.is_output[fnet.index()]).wrapping_neg();
-        let mut last_needed = self.last_reader[fnet.index()];
-
-        // Fire whole level runs: gates within a run never read each
-        // other's outputs, and gates past the horizon self-skip, so the
-        // frontier test runs once per run instead of once per gate.
-        for run in cone.runs.windows(2) {
-            let (s, e) = (run[0] as usize, run[1] as usize);
-            if cone.packed[s].idx >= last_needed {
-                // Runs ascend by slot: the event frontier has converged
-                // back to the good values.
-                break;
-            }
-            for p in &cone.packed[s..e] {
-                // SAFETY: pins and outputs were range-checked against
-                // `num_nets` in `FaultSim::new`; `good` and
-                // `scratch.diff` are both `num_nets` long
-                // (asserted/sized above).
-                unsafe { fire_gate(p, good, scratch, &mut last_needed) };
-            }
-        }
-    }
-
     /// The stem of `net`'s fanout-free region: the first net on its
     /// single-reader chain that fans out, is a primary output or has no
     /// reader. A difference on any net of the region reaches the
@@ -1120,7 +1009,7 @@ impl FaultSim {
     /// ANDs into `mask`, lane by lane, the Boolean difference of each
     /// gate on the path from `net` to its [`stem`](FaultSim::stem) (side
     /// inputs at their values in `good`), and returns the stem. `W = 1`
-    /// serves a narrow 64-lane vector (`good.as_chunks::<1>().0`).
+    /// serves one 64-lane block (`good.as_chunks::<1>().0`).
     ///
     /// Every net on the path has one reader, the next path gate, and is
     /// not an output, so a flip of `net` on some lanes changes nothing
@@ -1128,11 +1017,10 @@ impl FaultSim {
     /// passes it. A stuck-at-`v` fault on `net` is such a flip on its
     /// excitation lanes (`good ≠ v`): seeded with those, `mask` ends as
     /// the lanes on which the fault flips the stem. The fault's detect
-    /// word is then `mask` ANDed with the detect word of a seeded walk
-    /// ([`seeded_walk`](FaultSim::seeded_walk),
-    /// [`seeded_walk_wide`](FaultSim::seeded_walk_wide)) from the stem
-    /// over any superset of `mask`: lanes never interact, so one walk
-    /// serves every fault of the region.
+    /// word is then `mask` ANDed with the detect word of a
+    /// [`seeded_walk`](FaultSim::seeded_walk) from the stem over any
+    /// superset of `mask`: lanes never interact, so one walk serves every
+    /// fault of the region.
     pub fn sensitize<const W: usize>(
         &self,
         good: &[SimBlock<W>],
@@ -1149,169 +1037,40 @@ impl FaultSim {
         NetId(n)
     }
 
-    /// Narrow seeded-difference walk: flips `net` on the lanes of `diff`
-    /// against one 64-pattern block's good values and propagates the
-    /// difference toward the outputs. Afterwards
-    /// [`detect_word`](FaultSim::detect_word) holds the lanes on which
-    /// the flip reached a primary output. With cone bitsets built the
-    /// walk scans `net`'s bitset row in slot order (prefetch-friendly,
-    /// branchless per-gate skip); without them it runs a levelized event
-    /// walk over the per-level buckets (only gates with a differing
-    /// input fire, which keeps netlists too large for the bitset budget
-    /// viable).
-    ///
-    /// The walk stops early, at gate or level granularity, once every
-    /// bit of `exit_mask` (a nonzero subset of `diff`) is observed. This
-    /// is the excitation freeze: a fault classified from this walk has a
-    /// detect word that is a subset of its own seeded lanes, so once its
-    /// lowest seeded lane detects, later gates only OR higher bits in,
-    /// and its verdict and first detecting lane (`trailing_zeros`) are
-    /// pinned. Callers pass the lowest seeded lane of every fault they
-    /// classify. The detect word is exact in those two facts, and
-    /// [`SimScratch::value`] only for nets written before the stop.
-    pub fn seeded_walk(
-        &self,
-        good: &[u64],
-        net: NetId,
-        diff: u64,
-        exit_mask: u64,
-        scratch: &mut SimScratch,
-    ) {
-        assert_eq!(good.len(), self.num_nets, "good vector length");
-        scratch.begin(self.num_nets);
-        scratch.set_diff(net, diff);
-        scratch.out_diff |= diff & u64::from(self.is_output[net.index()]).wrapping_neg();
-        if scratch.out_diff & exit_mask == exit_mask {
-            return;
-        }
-        if let Some(cb) = &self.cone_bits {
-            // Fast path: linear scan of the precomputed cone row. With
-            // 64 patterns per lane the difference rarely dies, so most
-            // cone gates are active anyway and the branchless in-order
-            // scan beats event scheduling.
-            let mut last_needed = self.last_reader[net.index()];
-            let row = &cb.bits[net.index() * cb.words..][..cb.words];
-            for (wi, &wbits) in row.iter().enumerate() {
-                if wbits == 0 {
-                    continue;
-                }
-                if (wi * 64) as u32 >= last_needed {
-                    // Every remaining slot is ≥ the frontier horizon.
-                    break;
-                }
-                let mut w = wbits;
-                while w != 0 {
-                    let g = wi * 64 + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    // SAFETY: `g` indexes a gate (the bitset has one bit
-                    // per slot); pins/outputs were range-checked in
-                    // `new`.
-                    unsafe {
-                        let p = self.packed.get_unchecked(g);
-                        fire_gate(p, good, scratch, &mut last_needed);
-                    }
-                    // Excitation freeze at gate granularity.
-                    if scratch.out_diff & exit_mask == exit_mask {
-                        return;
-                    }
-                }
-            }
-            return;
-        }
-        scratch.begin_events(self.num_levels, self.num_gates);
-        let mut lo = self.num_levels;
-        let mut hi = 0usize;
-        for &g in self.readers_of(net) {
-            if scratch.mark_gate(g) {
-                let l = self.slot_level[g as usize] as usize;
-                scratch.pending[l].push(g);
-                lo = lo.min(l);
-                hi = hi.max(l);
-            }
-        }
-        let mut level = lo;
-        while level <= hi {
-            // Take the bucket out so firing can push into higher ones;
-            // readers always sit in strictly higher levels, so the
-            // drained bucket never grows under us.
-            let bucket = std::mem::take(&mut scratch.pending[level]);
-            for &g in &bucket {
-                let p = &self.packed[g as usize];
-                let [a, b, c] = p.pins;
-                // SAFETY: pins and outputs were range-checked against
-                // `num_nets` in `new`; `good` and `scratch.diff` are both
-                // `num_nets` long (asserted/sized above).
-                let (da, db, dc) = unsafe {
-                    (
-                        *scratch.diff.get_unchecked(a as usize),
-                        *scratch.diff.get_unchecked(b as usize),
-                        *scratch.diff.get_unchecked(c as usize),
-                    )
-                };
-                // SAFETY: same in-range guarantee as above.
-                let (va, vb, vc) = unsafe {
-                    (
-                        *good.get_unchecked(a as usize) ^ da,
-                        *good.get_unchecked(b as usize) ^ db,
-                        *good.get_unchecked(c as usize) ^ dc,
-                    )
-                };
-                let out = p.output() as usize;
-                // SAFETY: `out < num_nets` per the construction assert.
-                let d = p.eval(va, vb, vc) ^ unsafe { *good.get_unchecked(out) };
-                if d == 0 {
-                    // The difference dies at this gate: `diff[out]` is
-                    // already zero (each net is written by at most one
-                    // fired gate), so there is nothing to record.
-                    continue;
-                }
-                // SAFETY: as above.
-                unsafe { *scratch.diff.get_unchecked_mut(out) = d };
-                scratch.touched.push(out as u32);
-                scratch.out_diff |= d & (u64::from(p.ko) >> 3 & 1).wrapping_neg();
-                for &r in self.readers_of(NetId(out as u32)) {
-                    if scratch.mark_gate(r) {
-                        let l = self.slot_level[r as usize] as usize;
-                        scratch.pending[l].push(r);
-                        hi = hi.max(l);
-                    }
-                }
-            }
-            // Return the drained (empty-again) bucket for reuse.
-            let mut bucket = bucket;
-            bucket.clear();
-            scratch.pending[level] = bucket;
-            // Excitation freeze at level granularity. Scheduled but
-            // unfired levels are cleared so every bucket is empty again
-            // for the next walk.
-            if scratch.out_diff & exit_mask == exit_mask {
-                for b in &mut scratch.pending[level + 1..=hi] {
-                    b.clear();
-                }
-                break;
-            }
-            level += 1;
-        }
-    }
-
-    /// `W × 64`-lane seeded-difference walk: flips `net` on the lanes of
-    /// `diff` against the good values of `W` pattern blocks (see
-    /// [`pack_blocks`]) and propagates the difference to frontier
-    /// convergence, dispatched to the engine's [`SimdKernel`].
-    /// Afterwards lane group `g` of `scratch` (difference overlay,
-    /// detection word) is bit-identical to a narrow walk of block `g`
-    /// alone, whatever the kernel. The blocks share one frontier, so the
-    /// cost of a walk is bounded by its widest block, not their sum.
+    /// Seeded-difference walk over `W` 64-lane pattern blocks: flips
+    /// `net` on the lanes of `diff` against the blocks' good values (see
+    /// [`pack_blocks`]; one block is `good.as_chunks::<1>().0`) and
+    /// propagates the difference toward the outputs, dispatched to the
+    /// engine's [`SimdKernel`]. Afterwards [`SimScratch::value`] holds
+    /// every net's faulty value and [`SimScratch::detect_words`] the lanes
+    /// on which the flip reached a primary output. Seeded with a stuck-at
+    /// fault's excitation lanes (forced value XOR good value), the walk is
+    /// bit-identical to [`Netlist::eval_all_stuck`] on every net, and lane
+    /// group `g` to the `W = 1` walk of block `g` alone, whatever the
+    /// kernel. The groups share one frontier, so the cost of a walk is
+    /// bounded by its widest group, not their sum.
     ///
     /// With cone bitsets built the walk scans `net`'s bitset row; without
     /// them it derives `net`'s cone into the scratch and walks its level
     /// runs.
-    pub fn seeded_walk_wide<const W: usize>(
+    ///
+    /// The walk stops early once every lane of `exit` has reached an
+    /// output, tested after each 64-slot bitset word or level run;
+    /// `exit = [0; W]` never stops it. This is the excitation freeze: a
+    /// fault classified from this walk has a detect word that is a subset
+    /// of its own seeded lanes, so once its lowest seeded lane detects,
+    /// later gates only OR higher lanes in, and its verdict and first
+    /// detecting lane (`trailing_zeros`) are pinned. Callers pass the
+    /// lowest seeded lane of every fault they classify. After such a stop
+    /// the detect words are exact in those two facts, and
+    /// [`SimScratch::value`] only for nets written before the stop.
+    pub fn seeded_walk<const W: usize>(
         &self,
         good: &[SimBlock<W>],
         net: NetId,
         diff: SimBlock<W>,
-        scratch: &mut WideScratch<W>,
+        exit: SimBlock<W>,
+        scratch: &mut SimScratch<W>,
     ) {
         assert_eq!(good.len(), self.num_nets, "good vector length");
         scratch.begin(self.num_nets);
@@ -1322,6 +1081,9 @@ impl FaultSim {
         let m_out = u64::from(self.is_output[net.index()]).wrapping_neg();
         for (o, d) in scratch.out_diff.iter_mut().zip(diff) {
             *o |= d & m_out;
+        }
+        if scratch.exited(&exit) {
+            return;
         }
         let last_needed = self.last_reader[net.index()];
         let kernel = effective_kernel::<W>(self.kernel);
@@ -1338,17 +1100,19 @@ impl FaultSim {
             match kernel {
                 #[cfg(target_arch = "x86_64")]
                 SimdKernel::Avx2 => unsafe {
-                    row_walk_avx2::<W>(row, packed, good, scratch, last_needed)
+                    row_walk_avx2::<W>(row, packed, good, &exit, scratch, last_needed)
                 },
                 #[cfg(target_arch = "x86_64")]
                 SimdKernel::Avx512 => unsafe {
-                    row_walk_avx512::<W>(row, packed, good, scratch, last_needed)
+                    row_walk_avx512::<W>(row, packed, good, &exit, scratch, last_needed)
                 },
                 #[cfg(target_arch = "aarch64")]
                 SimdKernel::Neon => unsafe {
-                    row_walk_neon::<W>(row, packed, good, scratch, last_needed)
+                    row_walk_neon::<W>(row, packed, good, &exit, scratch, last_needed)
                 },
-                _ => unsafe { row_walk_scalar::<W>(row, packed, good, scratch, last_needed) },
+                _ => unsafe {
+                    row_walk_scalar::<W>(row, packed, good, &exit, scratch, last_needed)
+                },
             }
             return;
         }
@@ -1356,44 +1120,29 @@ impl FaultSim {
         self.cone_into(net, &mut cone);
         match kernel {
             #[cfg(target_arch = "x86_64")]
-            SimdKernel::Avx2 => unsafe { cone_walk_avx2::<W>(&cone, good, scratch, last_needed) },
+            SimdKernel::Avx2 => unsafe {
+                cone_walk_avx2::<W>(&cone, good, &exit, scratch, last_needed)
+            },
             #[cfg(target_arch = "x86_64")]
             SimdKernel::Avx512 => unsafe {
-                cone_walk_avx512::<W>(&cone, good, scratch, last_needed)
+                cone_walk_avx512::<W>(&cone, good, &exit, scratch, last_needed)
             },
             #[cfg(target_arch = "aarch64")]
-            SimdKernel::Neon => unsafe { cone_walk_neon::<W>(&cone, good, scratch, last_needed) },
-            _ => unsafe { cone_walk_scalar::<W>(&cone, good, scratch, last_needed) },
+            SimdKernel::Neon => unsafe {
+                cone_walk_neon::<W>(&cone, good, &exit, scratch, last_needed)
+            },
+            _ => unsafe { cone_walk_scalar::<W>(&cone, good, &exit, scratch, last_needed) },
         }
         scratch.cone = cone;
     }
-
-    /// Detection word after [`eval_stuck`](FaultSim::eval_stuck): bit
-    /// `i` set iff pattern lane `i` exposes the fault at any primary
-    /// output. `O(1)` — accumulated during the walk.
-    #[must_use]
-    pub fn detect_word(&self, good: &[u64], scratch: &SimScratch) -> u64 {
-        let _ = good;
-        scratch.out_diff
-    }
-
-    /// Per-output difference words (`faulty ^ good`) in primary-output
-    /// order, as consumed by syndrome hashing. Untouched outputs yield 0.
-    pub fn output_diffs<'s>(
-        &'s self,
-        good: &'s [u64],
-        scratch: &'s SimScratch,
-    ) -> impl Iterator<Item = u64> + 's {
-        self.outputs.iter().map(move |&o| scratch.value(good, o) ^ good[o.index()])
-    }
 }
 
-/// Fanout-cone gate list for one fault site (see [`FaultSim::cone_into`]).
+/// Fanout-cone gate list of one walked net (see [`FaultSim::cone_into`]).
 ///
-/// Holds reusable mark buffers so cones for successive fault sites can be
+/// Holds reusable mark buffers so cones for successive walks can be
 /// derived without reallocating.
 #[derive(Debug, Default, Clone)]
-pub struct FaultCone {
+struct FaultCone {
     /// Affected gate slots, ascending (= levelized order).
     gates: Vec<u32>,
     /// Flattened gate records parallel to `gates`, so the event walk
@@ -1411,18 +1160,6 @@ pub struct FaultCone {
 }
 
 impl FaultCone {
-    /// Creates an empty cone.
-    #[must_use]
-    pub fn new() -> Self {
-        FaultCone::default()
-    }
-
-    /// Gate slots in the cone, ascending.
-    #[must_use]
-    pub fn gates(&self) -> &[u32] {
-        &self.gates
-    }
-
     fn begin(&mut self) {
         self.gates.clear();
         self.packed.clear();
@@ -1453,107 +1190,16 @@ impl FaultCone {
     }
 }
 
-/// XOR-difference overlay used by [`FaultSim::eval_stuck`].
-///
-/// `diff[n]` holds `faulty ^ good` for net `n` — zero everywhere the
-/// fault has no effect — so an overlay read is a single extra XOR and the
-/// walk needs no stamps or epochs. `begin` re-zeroes only the entries the
-/// previous evaluation wrote (via `touched`), keeping every evaluation
-/// allocation-free and `O(walked gates)`.
-#[derive(Debug, Default, Clone)]
-pub struct SimScratch {
-    diff: Vec<u64>,
-    touched: Vec<u32>,
-    /// OR of `faulty ^ good` over primary-output nets, accumulated while
-    /// the walk runs.
-    out_diff: u64,
-    /// Levelized event-walk state ([`FaultSim::seeded_walk`] without
-    /// cone bitsets): scheduled gate slots per logic level. All buckets
-    /// are empty between walks (drained in level order, or cleared on
-    /// the excitation freeze), so only the walked levels cost anything.
-    pending: Vec<Vec<u32>>,
-    /// Epoch-tagged dedup stamps, one per gate slot: a gate schedules
-    /// at most once per walk even when several of its inputs differ.
-    gate_stamp: Vec<u32>,
-    gate_epoch: u32,
-}
-
-impl SimScratch {
-    /// Creates an empty scratch (buffers grow on first use).
-    #[must_use]
-    pub fn new() -> Self {
-        SimScratch::default()
-    }
-
-    fn begin(&mut self, num_nets: usize) {
-        for &n in &self.touched {
-            self.diff[n as usize] = 0;
-        }
-        self.touched.clear();
-        self.out_diff = 0;
-        if self.diff.len() < num_nets {
-            self.diff.resize(num_nets, 0);
-        }
-    }
-
-    fn set_diff(&mut self, net: NetId, diff: u64) {
-        self.diff[net.index()] = diff;
-        self.touched.push(net.0);
-    }
-
-    /// Sizes the event-walk buckets and stamps and opens a new epoch.
-    fn begin_events(&mut self, num_levels: usize, num_gates: usize) {
-        if self.pending.len() < num_levels {
-            self.pending.resize_with(num_levels, Vec::new);
-        }
-        if self.gate_stamp.len() < num_gates {
-            self.gate_stamp.resize(num_gates, 0);
-        }
-        self.gate_epoch = self.gate_epoch.wrapping_add(1);
-        if self.gate_epoch == 0 {
-            self.gate_stamp.fill(0);
-            self.gate_epoch = 1;
-        }
-    }
-
-    /// Marks gate `slot`; returns `false` if already scheduled this walk.
-    fn mark_gate(&mut self, slot: u32) -> bool {
-        let stamp = &mut self.gate_stamp[slot as usize];
-        if *stamp == self.gate_epoch {
-            false
-        } else {
-            *stamp = self.gate_epoch;
-            true
-        }
-    }
-
-    /// The faulty value of `net` after an evaluation: the good value
-    /// XORed with the recorded difference (zero where undisturbed).
-    #[must_use]
-    pub fn value(&self, good: &[u64], net: NetId) -> u64 {
-        good[net.index()] ^ self.diff[net.index()]
-    }
-
-    /// Nets written by the last event walk, in the order it reached them:
-    /// a superset of the differing nets (non-differing entries carry the
-    /// good value, so difference queries over them still read as zero).
-    #[must_use]
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-}
-
-/// `W × 64`-lane XOR-difference overlay used by
-/// [`FaultSim::seeded_walk_wide`]: `W` independent 64-lane pattern
-/// blocks ("lane groups") simulated in one event walk. `diff[n][g]`
-/// holds `faulty ^ good` for net `n` on block `g`.
-///
-/// The lane width defaults to the historical `W = 4` in type position;
-/// expression-position constructors need a turbofish
-/// (`WideScratch::<8>::new()`).
+/// `W × 64`-lane XOR-difference overlay of a [`FaultSim::seeded_walk`]:
+/// `W` independent 64-lane pattern blocks ("lane groups") simulated in
+/// one event walk. `diff[n][g]` holds `faulty ^ good` for net `n` on
+/// block `g` — zero everywhere the flip has no effect — so an overlay
+/// read is a single extra XOR. `begin` re-zeroes only the entries the previous walk wrote (via
+/// `touched`), keeping every walk allocation-free and `O(walked gates)`.
 #[derive(Debug, Clone)]
-pub struct WideScratch<const W: usize = 4> {
+pub struct SimScratch<const W: usize> {
     diff: Vec<SimBlock<W>>,
+    /// Nets written by the walk, in the order it reached them.
     touched: Vec<u32>,
     /// OR of `faulty ^ good` over primary-output nets, per lane group.
     out_diff: SimBlock<W>,
@@ -1562,15 +1208,15 @@ pub struct WideScratch<const W: usize = 4> {
     cone: FaultCone,
 }
 
-impl<const W: usize> WideScratch<W> {
+impl<const W: usize> SimScratch<W> {
     /// Creates an empty scratch (buffers grow on first use).
     #[must_use]
     pub fn new() -> Self {
-        WideScratch {
+        SimScratch {
             diff: Vec::new(),
             touched: Vec::new(),
             out_diff: [0; W],
-            cone: FaultCone::new(),
+            cone: FaultCone::default(),
         }
     }
 
@@ -1588,6 +1234,18 @@ impl<const W: usize> WideScratch<W> {
     fn set_diff(&mut self, net: NetId, diff: SimBlock<W>) {
         self.diff[net.index()] = diff;
         self.touched.push(net.0);
+    }
+
+    /// Whether a walk under exit mask `exit` may stop: `exit` is nonzero
+    /// and every one of its lanes has reached a primary output.
+    #[inline(always)]
+    fn exited(&self, exit: &SimBlock<W>) -> bool {
+        let (mut any, mut missed) = (0, 0);
+        for (e, o) in exit.iter().zip(&self.out_diff) {
+            any |= e;
+            missed |= e & !o;
+        }
+        any != 0 && missed == 0
     }
 
     /// Per-lane-group detection words after an evaluation: entry `g`,
@@ -1610,15 +1268,9 @@ impl<const W: usize> WideScratch<W> {
         }
         v
     }
-
-    /// Nets written by the last event walk (see [`SimScratch::touched`]).
-    #[must_use]
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
 }
 
-impl<const W: usize> Default for WideScratch<W> {
+impl<const W: usize> Default for SimScratch<W> {
     fn default() -> Self {
         Self::new()
     }
@@ -1626,7 +1278,7 @@ impl<const W: usize> Default for WideScratch<W> {
 
 /// Packs up to `W` 64-lane good-value vectors (one per pattern block,
 /// each `num_nets` long as produced by `Netlist::eval_all`) into the
-/// lane-group layout consumed by [`FaultSim::seeded_walk_wide`]. When
+/// lane-group layout consumed by [`FaultSim::seeded_walk`]. When
 /// fewer than `W` blocks are supplied, the trailing lane groups repeat
 /// the last block so padded lanes behave like real patterns; callers
 /// must ignore their detection words.
@@ -1664,6 +1316,26 @@ mod tests {
         (0..n).map(|_| rng.gen()).collect()
     }
 
+    /// The lanes on which stuck-at fault `(net, stuck)` flips `net`.
+    fn excitation<const W: usize>(
+        good: &[SimBlock<W>],
+        (net, stuck): (NetId, bool),
+    ) -> SimBlock<W> {
+        good[net.index()].map(|g| if stuck { !g } else { g })
+    }
+
+    /// The lowest lane of each lane group of `mask`.
+    fn lowest<const W: usize>(mask: SimBlock<W>) -> SimBlock<W> {
+        mask.map(|m| m & m.wrapping_neg())
+    }
+
+    /// The oracle's detect word of `fault` on one pattern block.
+    fn oracle_word(nl: &Netlist, inputs: &[u64], fault: (NetId, bool)) -> u64 {
+        let good = nl.eval_all(inputs);
+        let faulty = nl.eval_all_stuck(inputs, fault);
+        nl.outputs().iter().fold(0, |d, o| d | (good[o.index()] ^ faulty[o.index()]))
+    }
+
     /// Checks every stuck-at fault on every net of `nl` against the
     /// full-re-evaluation oracle, over several pattern blocks — once with
     /// the precomputed cone bitsets and once with the worklist fallback.
@@ -1676,51 +1348,46 @@ mod tests {
     }
 
     fn assert_matches_oracle_with(nl: &Netlist, sim: &FaultSim) {
-        let mut cone = FaultCone::new();
-        let mut scratch = SimScratch::new();
-        let mut det = SimScratch::new();
+        let mut scratch = SimScratch::<1>::new();
+        let mut det = SimScratch::<1>::new();
         for block in 0..4u64 {
             let inputs = random_inputs(nl.num_inputs(), 0xBEEF ^ block);
             let good = nl.eval_all(&inputs);
+            let good = good.as_chunks::<1>().0;
             for net in 0..nl.num_nets() as u32 {
                 let net = NetId(net);
-                sim.cone_into(net, &mut cone);
                 for stuck in [false, true] {
                     let oracle = nl.eval_all_stuck(&inputs, (net, stuck));
-                    sim.eval_stuck(&good, (net, stuck), &cone, &mut scratch);
+                    let excite = excitation(good, (net, stuck));
+                    sim.seeded_walk(good, net, excite, [0], &mut scratch);
                     for n in 0..nl.num_nets() as u32 {
                         assert_eq!(
-                            scratch.value(&good, NetId(n)),
-                            oracle[n as usize],
+                            scratch.value(good, NetId(n)),
+                            [oracle[n as usize]],
                             "net n{n} mismatch for fault ({net}, sa{})",
                             u8::from(stuck)
                         );
                     }
-                    // Detection word must match the oracle's output diff.
-                    let mut oracle_diff = 0u64;
-                    for (o, g) in nl.outputs().iter().zip(nl.output_values(&good)) {
-                        oracle_diff |= oracle[o.index()] ^ g;
-                    }
-                    assert_eq!(sim.detect_word(&good, &scratch), oracle_diff);
-                    // Seeded walks from the site and, narrowed by the
+                    let [word] = scratch.detect_words();
+                    assert_eq!(word, oracle_word(nl, &inputs, (net, stuck)));
+                    // Exit walks from the site and, narrowed by the
                     // region's path differences, from its stem must agree
                     // on detection and the first detecting lane (they may
                     // stop once the lowest seeded lane fires).
-                    let excite = if stuck { !good[net.index()] } else { good[net.index()] };
-                    let mut mask = [excite];
-                    let stem = sim.sensitize(good.as_chunks::<1>().0, net, &mut mask);
+                    let mut mask = excite;
+                    let stem = sim.sensitize(good, net, &mut mask);
                     assert_eq!(stem, sim.stem(net));
-                    for (seed, diff) in [(net, excite), (stem, mask[0])] {
-                        sim.seeded_walk(&good, seed, diff, diff & diff.wrapping_neg(), &mut det);
-                        let word = sim.detect_word(&good, &det) & diff;
+                    for (seed, diff) in [(net, excite), (stem, mask)] {
+                        sim.seeded_walk(good, seed, diff, lowest(diff), &mut det);
+                        let exited = det.detect_words()[0] & diff[0];
                         assert_eq!(
+                            exited != 0,
                             word != 0,
-                            oracle_diff != 0,
                             "walk from {seed} disagrees for fault ({net}, sa{})",
                             u8::from(stuck)
                         );
-                        if oracle_diff != 0 {
-                            assert_eq!(word.trailing_zeros(), oracle_diff.trailing_zeros());
+                        if word != 0 {
+                            assert_eq!(exited.trailing_zeros(), word.trailing_zeros());
                         }
                     }
                 }
@@ -1764,12 +1431,17 @@ mod tests {
         b.output(z);
         let nl = b.finish();
         let sim = FaultSim::new(&nl);
+        let cone_len = |net| {
+            let mut cone = FaultCone::default();
+            sim.cone_into(net, &mut cone);
+            cone.gates.len()
+        };
         // Fault on input 0 disturbs all three gates.
-        assert_eq!(sim.cone(i[0]).gates().len(), 3);
+        assert_eq!(cone_len(i[0]), 3);
         // Fault on the output net disturbs nothing downstream.
-        assert!(sim.cone(z).gates().is_empty());
+        assert_eq!(cone_len(z), 0);
         // Fault on input 3 only disturbs the final OR.
-        assert_eq!(sim.cone(i[3]).gates().len(), 1);
+        assert_eq!(cone_len(i[3]), 1);
     }
 
     #[test]
@@ -1827,7 +1499,7 @@ mod tests {
             }
         }
         // Cone runs cover the cone exactly, in order.
-        let mut cone = FaultCone::new();
+        let mut cone = FaultCone::default();
         for net in 0..nl.num_nets() as u32 {
             sim.cone_into(NetId(net), &mut cone);
             assert_eq!(cone.runs[0], 0);
@@ -1850,71 +1522,102 @@ mod tests {
         b.output(x);
         let nl = b.finish();
         let sim = FaultSim::new(&nl);
-        let cone = sim.cone(i[0]);
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::<1>::new();
         // Input 0 all-ones; stuck-at-1 on it changes nothing.
         let good = nl.eval_all(&[!0, 0]);
-        sim.eval_stuck(&good, (i[0], true), &cone, &mut scratch);
-        assert!(scratch.touched().is_empty());
-        assert_eq!(sim.detect_word(&good, &scratch), 0);
+        let good = good.as_chunks::<1>().0;
+        sim.seeded_walk(good, i[0], excitation(good, (i[0], true)), [0], &mut scratch);
+        assert!(scratch.touched.is_empty());
+        assert_eq!(scratch.detect_words(), [0]);
     }
 
-    /// Every fault, over `W` pattern blocks: one wide walk seeded with
-    /// the fault's excitation lanes must be bit-identical, lane group by
-    /// lane group, to `W` narrow walks — values on every net and
-    /// detection words — for the given kernel. So must the fault's
-    /// stem-shared detect words: its lanes narrowed to the stem, ANDed
-    /// with one walk from the stem seeded with both polarities' lanes.
+    /// Every fault, over `W` pattern blocks, with cone bitsets and
+    /// without: one walk seeded with the fault's excitation lanes must be
+    /// bit-identical, lane group by lane group, to the `W = 1` walk of
+    /// each block — values on every net and detection words, which match
+    /// the oracle — for the given kernel. So must the fault's stem-shared
+    /// detect words: its lanes narrowed to the stem, ANDed with one walk
+    /// from the stem seeded with both polarities' lanes. Walks from the
+    /// site and from the stem that exit once the lowest lane of each
+    /// group's mask is observed keep each group's verdict and first
+    /// detecting lane, and stop with the scalar kernel's words.
     fn assert_wide_matches_narrow<const W: usize>(nl: &Netlist, kernel: SimdKernel) {
         let mut sim = FaultSim::new(nl);
         assert!(sim.cone_bits.is_some(), "test netlists fit the cone-bitset budget");
+        let mut scalar = sim.clone();
         assert!(sim.set_kernel(kernel));
+        assert!(scalar.set_kernel(SimdKernel::Scalar));
         for pass in 0..2 {
             if pass == 1 {
                 sim.cone_bits = None;
+                scalar.cone_bits = None;
             }
-            let mut cone = FaultCone::new();
-            let mut narrow = SimScratch::new();
-            let mut wide = WideScratch::<W>::new();
-            let mut shared = WideScratch::<W>::new();
+            let mut narrow = SimScratch::<1>::new();
+            let mut wide = SimScratch::<W>::new();
+            let mut shared = SimScratch::<W>::new();
+            let mut reference = SimScratch::<W>::new();
             let blocks: Vec<Vec<u64>> =
                 (0..W as u64).map(|b| random_inputs(nl.num_inputs(), 0xD1CE ^ b)).collect();
             let goods: Vec<Vec<u64>> = blocks.iter().map(|b| nl.eval_all(b)).collect();
             let packed = pack_blocks::<W>(&goods.iter().map(Vec::as_slice).collect::<Vec<_>>());
             for net in 0..nl.num_nets() as u32 {
                 let net = NetId(net);
-                sim.cone_into(net, &mut cone);
                 let mut path = [!0u64; W];
                 let stem = sim.sensitize(&packed, net, &mut path);
-                sim.seeded_walk_wide(&packed, stem, path, &mut shared);
+                sim.seeded_walk(&packed, stem, path, [0; W], &mut shared);
                 for stuck in [false, true] {
-                    let excite = packed[net.index()].map(|g| if stuck { !g } else { g });
-                    sim.seeded_walk_wide(&packed, net, excite, &mut wide);
+                    let excite = excitation(&packed, (net, stuck));
+                    sim.seeded_walk(&packed, net, excite, [0; W], &mut wide);
                     let words = wide.detect_words();
                     for (g, good) in goods.iter().enumerate() {
-                        sim.eval_stuck(good, (net, stuck), &cone, &mut narrow);
+                        let good = good.as_chunks::<1>().0;
+                        sim.seeded_walk(good, net, [excite[g]], [0], &mut narrow);
                         for n in 0..nl.num_nets() as u32 {
                             assert_eq!(
                                 wide.value(&packed, NetId(n))[g],
-                                narrow.value(good, NetId(n)),
+                                narrow.value(good, NetId(n))[0],
                                 "net n{n} lane group {g} for fault ({net}, sa{}) on {}",
                                 u8::from(stuck),
                                 kernel.name()
                             );
                         }
-                        let word = sim.detect_word(good, &narrow);
+                        let [word] = narrow.detect_words();
                         assert_eq!(
                             words[g],
                             word,
                             "detect word, lane group {g}, {}",
                             kernel.name()
                         );
+                        assert_eq!(word, oracle_word(nl, &blocks[g], (net, stuck)));
                         assert_eq!(
                             excite[g] & path[g] & shared.detect_words()[g],
                             word,
                             "stem-shared detect word, lane group {g}, {}",
                             kernel.name()
                         );
+                    }
+                    let mut mask = excite;
+                    sim.sensitize(&packed, net, &mut mask);
+                    for (seed, diff) in [(net, excite), (stem, mask)] {
+                        sim.seeded_walk(&packed, seed, diff, lowest(diff), &mut wide);
+                        scalar.seeded_walk(&packed, seed, diff, lowest(diff), &mut reference);
+                        assert_eq!(
+                            wide.detect_words(),
+                            reference.detect_words(),
+                            "exit walk from {seed}, fault ({net}, sa{}), {}",
+                            u8::from(stuck),
+                            kernel.name()
+                        );
+                        for (g, word) in words.iter().enumerate() {
+                            let exited = wide.detect_words()[g] & diff[g];
+                            assert_eq!(
+                                (exited != 0, exited.trailing_zeros()),
+                                (*word != 0, word.trailing_zeros()),
+                                "exit walk from {seed}, lane group {g}, fault ({net}, sa{}), {}",
+                                u8::from(stuck),
+                                kernel.name()
+                            );
+                        }
                     }
                 }
             }
@@ -1932,6 +1635,7 @@ mod tests {
         b.output(carry);
         let nl = b.finish();
         for kernel in SimdKernel::available() {
+            assert_wide_matches_narrow::<1>(&nl, kernel);
             assert_wide_matches_narrow::<4>(&nl, kernel);
             assert_wide_matches_narrow::<8>(&nl, kernel);
         }
@@ -1950,10 +1654,50 @@ mod tests {
         b.output(y);
         let nl = b.finish();
         for kernel in SimdKernel::available() {
+            assert_wide_matches_narrow::<1>(&nl, kernel);
             assert_wide_matches_narrow::<2>(&nl, kernel);
             assert_wide_matches_narrow::<4>(&nl, kernel);
             assert_wide_matches_narrow::<8>(&nl, kernel);
             assert_wide_matches_narrow::<16>(&nl, kernel);
+        }
+    }
+
+    /// The exit stops a walk, not only its verdicts: on a ripple adder
+    /// spanning several bitset words, some walk from an input that
+    /// reaches a low sum bit at once must write fewer nets with the exit
+    /// than without, on both walk paths and at both widths.
+    #[test]
+    fn exit_stops_the_walk_early() {
+        fn shortened<const W: usize>(sim: &FaultSim, nl: &Netlist) -> bool {
+            let goods: Vec<Vec<u64>> =
+                (0..W as u64).map(|b| nl.eval_all(&random_inputs(nl.num_inputs(), b))).collect();
+            let packed = pack_blocks::<W>(&goods.iter().map(Vec::as_slice).collect::<Vec<_>>());
+            let (mut full, mut cut) = (SimScratch::<W>::new(), SimScratch::<W>::new());
+            (0..nl.num_inputs() as u32).map(NetId).any(|net| {
+                sim.seeded_walk(&packed, net, [!0; W], [0; W], &mut full);
+                sim.seeded_walk(&packed, net, [!0; W], [1; W], &mut cut);
+                cut.touched.len() < full.touched.len()
+            })
+        }
+        let mut b = NetlistBuilder::new();
+        let a = b.inputs(32);
+        let bb = b.inputs(32);
+        let zero = b.constant(false);
+        let (sum, carry) = b.ripple_adder(&a, &bb, zero);
+        b.outputs(&sum);
+        b.output(carry);
+        let nl = b.finish();
+        for kernel in SimdKernel::available() {
+            let mut sim = FaultSim::new(&nl);
+            assert!(sim.num_gates > 128, "the adder spans several bitset words");
+            assert!(sim.set_kernel(kernel));
+            for bits in [true, false] {
+                if !bits {
+                    sim.cone_bits = None;
+                }
+                assert!(shortened::<1>(&sim, &nl), "W = 1, bitsets {bits}, {}", kernel.name());
+                assert!(shortened::<8>(&sim, &nl), "W = 8, bitsets {bits}, {}", kernel.name());
+            }
         }
     }
 
@@ -1992,17 +1736,17 @@ mod tests {
         b.output(x);
         let nl = b.finish();
         let sim = FaultSim::new(&nl);
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::<1>::new();
         let inputs = random_inputs(3, 7);
         let good = nl.eval_all(&inputs);
+        let good = good.as_chunks::<1>().0;
         for net in 0..nl.num_nets() as u32 {
             let net = NetId(net);
-            let cone = sim.cone(net);
             for stuck in [false, true] {
-                sim.eval_stuck(&good, (net, stuck), &cone, &mut scratch);
+                sim.seeded_walk(good, net, excitation(good, (net, stuck)), [0], &mut scratch);
                 let oracle = nl.eval_all_stuck(&inputs, (net, stuck));
                 for n in 0..nl.num_nets() as u32 {
-                    assert_eq!(scratch.value(&good, NetId(n)), oracle[n as usize]);
+                    assert_eq!(scratch.value(good, NetId(n)), [oracle[n as usize]]);
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Power maps: per-block dissipation for a thermal solve.
 
-use crate::floorplan::{BlockId, Floorplan};
+use crate::floorplan::Floorplan;
 use r2d3_isa::Unit;
 
 /// Per-block power assignment (watts), layer-major in floorplan block
@@ -51,12 +51,6 @@ impl PowerMap {
     #[must_use]
     pub fn block(&self, layer: usize, unit: Unit) -> f64 {
         self.index(layer, unit).map_or(0.0, |i| self.watts[i])
-    }
-
-    /// A block's power by [`BlockId`].
-    #[must_use]
-    pub fn block_id(&self, id: BlockId) -> f64 {
-        self.block(id.layer, id.unit)
     }
 
     /// Total power in watts.

@@ -8,8 +8,8 @@
 use proptest::prelude::*;
 use r2d3_atpg::campaign::{run_campaign, run_campaign_reference, CampaignConfig};
 use r2d3_atpg::collapse::FaultClasses;
-use r2d3_atpg::fault::all_faults;
-use r2d3_netlist::{FaultCone, FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimScratch};
+use r2d3_atpg::fault::{all_faults, Fault};
+use r2d3_netlist::{FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,23 +81,26 @@ proptest! {
         let nl = random_netlist(shape_seed);
         let classes = FaultClasses::build(&nl);
         let sim = FaultSim::new(&nl);
-        let mut cone = FaultCone::new();
-        let mut scratch = SimScratch::new();
+        let mut scratch = SimScratch::<1>::new();
         let mut rng = StdRng::seed_from_u64(pattern_seed);
         for _ in 0..4 {
             let inputs: Vec<u64> = (0..nl.num_inputs()).map(|_| rng.gen()).collect();
             let good = nl.eval_all(&inputs);
+            let good = good.as_chunks::<1>().0;
+            // A fault's word: the walk seeded with its excitation lanes.
+            let mut word = |f: Fault| {
+                let [g] = good[f.net.index()];
+                let excite = if f.stuck { !g } else { g };
+                sim.seeded_walk(good, f.net, [excite], [0], &mut scratch);
+                scratch.detect_words()[0]
+            };
             for fault in all_faults(&nl) {
                 let rep = classes.representative(fault);
                 if rep == fault {
                     continue;
                 }
-                sim.cone_into(fault.net, &mut cone);
-                sim.eval_stuck(&good, (fault.net, fault.stuck), &cone, &mut scratch);
-                let fault_word = sim.detect_word(&good, &scratch);
-                sim.cone_into(rep.net, &mut cone);
-                sim.eval_stuck(&good, (rep.net, rep.stuck), &cone, &mut scratch);
-                let rep_word = sim.detect_word(&good, &scratch);
+                let fault_word = word(fault);
+                let rep_word = word(rep);
                 prop_assert_eq!(
                     fault_word, rep_word,
                     "{} vs representative {}", fault, rep

@@ -1,16 +1,13 @@
 //! Property test: the incremental, cone-restricted fault-simulation
-//! engine is bit-identical to the full-re-evaluation oracle
+//! walk is bit-identical to the full-re-evaluation oracle
 //! (`Netlist::eval_all_stuck`) on randomly generated netlists — and the
-//! 256-lane (`[u64; 4]`) wide walk is bit-identical, lane group by lane
-//! group, to four independent narrow walks. Walks from a fault's
-//! fanout-free-region stem, seeded with the lanes the fault flips the
-//! stem on, detect it exactly as walks from its site do.
+//! 256-lane (`[u64; 4]`) walk is bit-identical, lane group by lane
+//! group, to the 64-lane (`W = 1`) walk of each block. Walks from a
+//! fault's fanout-free-region stem, seeded with the lanes the fault
+//! flips the stem on, detect it exactly as walks from its site do.
 
 use proptest::prelude::*;
-use r2d3_netlist::{
-    pack_blocks, FaultCone, FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimScratch,
-    WideScratch,
-};
+use r2d3_netlist::{pack_blocks, FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,26 +59,28 @@ proptest! {
     ) {
         let nl = random_netlist(shape_seed);
         let sim = FaultSim::new(&nl);
-        let mut cone = FaultCone::new();
-        let mut scratch = SimScratch::new();
-
-        let mut det_scratch = SimScratch::new();
+        let mut scratch = SimScratch::<1>::new();
+        let mut det_scratch = SimScratch::<1>::new();
         let mut rng = StdRng::seed_from_u64(pattern_seed);
         let inputs: Vec<u64> = (0..nl.num_inputs()).map(|_| rng.gen()).collect();
         let good = nl.eval_all(&inputs);
         let good_out = nl.output_values(&good);
+        let good = good.as_chunks::<1>().0;
 
         // Every stuck-at fault on every net, both polarities.
         for net in 0..nl.num_nets() as u32 {
             let net = NetId(net);
-            sim.cone_into(net, &mut cone);
+            let [g] = good[net.index()];
             for stuck in [false, true] {
                 let oracle = nl.eval_all_stuck(&inputs, (net, stuck));
-                sim.eval_stuck(&good, (net, stuck), &cone, &mut scratch);
+                // The walk seeded with the excitation lanes, without an
+                // exit, is the faulty circuit on every net.
+                let excite = if stuck { !g } else { g };
+                sim.seeded_walk(good, net, [excite], [0], &mut scratch);
                 for n in 0..nl.num_nets() as u32 {
                     prop_assert_eq!(
-                        scratch.value(&good, NetId(n)),
-                        oracle[n as usize],
+                        scratch.value(good, NetId(n)),
+                        [oracle[n as usize]],
                         "net n{} differs for fault ({}, sa{})",
                         n,
                         net,
@@ -92,28 +91,27 @@ proptest! {
                 for (o, g) in nl.outputs().iter().zip(&good_out) {
                     oracle_diff |= oracle[o.index()] ^ g;
                 }
-                prop_assert_eq!(sim.detect_word(&good, &scratch), oracle_diff);
+                prop_assert_eq!(scratch.detect_words(), [oracle_diff]);
 
-                // Seeded walks (used by campaigns), masked by this
-                // fault's lanes, must agree on detection and on the first
+                // Walks that exit once their lowest seeded lanes are
+                // observed (as campaigns run them), masked by this fault's
+                // lanes, must agree on detection and on the first
                 // detecting lane: from the site seeded with the
                 // excitation lanes, from the site seeded with a flip of
                 // every lane (both polarities at once), and from the
                 // fanout-free region's stem seeded with the lanes the
                 // fault flips it on.
-                let excite = if stuck { !good[net.index()] } else { good[net.index()] };
-                let both = (good[net.index()] & good[net.index()].wrapping_neg())
-                    | (!good[net.index()] & (!good[net.index()]).wrapping_neg());
-                let mut path = [excite];
-                let stem = sim.sensitize(good.as_chunks::<1>().0, net, &mut path);
                 let lowest = |m: u64| m & m.wrapping_neg();
+                let both = lowest(g) | lowest(!g);
+                let mut path = [excite];
+                let stem = sim.sensitize(good, net, &mut path);
                 for (seed, diff, exit) in [
                     (net, excite, lowest(excite)),
                     (net, !0, both),
                     (stem, path[0], lowest(path[0])),
                 ] {
-                    sim.seeded_walk(&good, seed, diff, exit, &mut det_scratch);
-                    let det = sim.detect_word(&good, &det_scratch) & excite & diff;
+                    sim.seeded_walk(good, seed, [diff], [exit], &mut det_scratch);
+                    let det = det_scratch.detect_words()[0] & excite & diff;
                     prop_assert_eq!(det != 0, oracle_diff != 0, "walk from {}", seed);
                     if oracle_diff != 0 {
                         prop_assert_eq!(det.trailing_zeros(), oracle_diff.trailing_zeros());
@@ -130,10 +128,9 @@ proptest! {
     ) {
         let nl = random_netlist(shape_seed);
         let sim = FaultSim::new(&nl);
-        let mut cone = FaultCone::new();
-        let mut narrow = SimScratch::new();
-        let mut wide = WideScratch::<4>::new();
-        let mut det = WideScratch::<4>::new();
+        let mut narrow = SimScratch::<1>::new();
+        let mut wide = SimScratch::<4>::new();
+        let mut det = SimScratch::<4>::new();
 
         let mut rng = StdRng::seed_from_u64(pattern_seed);
         let blocks: Vec<Vec<u64>> = (0..4)
@@ -144,22 +141,22 @@ proptest! {
 
         for net in 0..nl.num_nets() as u32 {
             let net = NetId(net);
-            sim.cone_into(net, &mut cone);
             // One walk from the fanout-free region's stem, seeded with
             // every lane the site can flip it on, serves both polarities.
             let mut path = [!0u64; 4];
             let stem = sim.sensitize(&packed, net, &mut path);
-            sim.seeded_walk_wide(&packed, stem, path, &mut det);
+            sim.seeded_walk(&packed, stem, path, [0; 4], &mut det);
             for stuck in [false, true] {
                 let excite = packed[net.index()].map(|g| if stuck { !g } else { g });
-                sim.seeded_walk_wide(&packed, net, excite, &mut wide);
+                sim.seeded_walk(&packed, net, excite, [0; 4], &mut wide);
                 let words = wide.detect_words();
                 for (g, good) in goods.iter().enumerate() {
-                    sim.eval_stuck(good, (net, stuck), &cone, &mut narrow);
+                    let good = good.as_chunks::<1>().0;
+                    sim.seeded_walk(good, net, [excite[g]], [0], &mut narrow);
                     for n in 0..nl.num_nets() as u32 {
                         prop_assert_eq!(
                             wide.value(&packed, NetId(n))[g],
-                            narrow.value(good, NetId(n)),
+                            narrow.value(good, NetId(n))[0],
                             "net n{} lane group {} for fault ({}, sa{})",
                             n,
                             g,
@@ -167,7 +164,7 @@ proptest! {
                             u8::from(stuck)
                         );
                     }
-                    let word = sim.detect_word(good, &narrow);
+                    let [word] = narrow.detect_words();
                     prop_assert_eq!(words[g], word, "detect word, lane group {}", g);
                     // The stem-shared word is exact on every lane.
                     let shared = excite[g] & path[g] & det.detect_words()[g];

@@ -1,14 +1,17 @@
 //! Differential suite for the runtime-dispatched SIMD kernels: every
 //! kernel path available on the host must produce detection words and
 //! faulty net values byte-identical to the scalar kernel, for every
-//! dispatchable lane width, on randomly generated netlists. (Kernels
-//! unavailable on the host are compile-gated out of `available()`, so
-//! CI on each architecture exercises exactly the paths it can run.)
+//! dispatchable lane width, on randomly generated netlists, and walks
+//! that exit early must stop with the same words under every kernel.
+//! (Kernels unavailable on the host are compile-gated out of
+//! `available()`, so CI on each architecture exercises exactly the paths
+//! it can run. These netlists fit the cone-bitset budget; the walk
+//! without bitsets is checked kernel by kernel in `sim.rs`'s unit tests.)
 
 use proptest::prelude::*;
 use r2d3_netlist::{
-    pack_blocks, FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimBlock, SimdKernel,
-    WideScratch,
+    pack_blocks, FaultSim, GateKind, NetId, Netlist, NetlistBuilder, SimBlock, SimScratch,
+    SimdKernel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,10 +54,26 @@ fn random_netlist(seed: u64) -> Netlist {
     b.finish()
 }
 
+/// The oracle's detect words of `fault`, one per pattern block.
+fn oracle_words<const W: usize>(
+    nl: &Netlist,
+    blocks: &[Vec<u64>],
+    goods: &[Vec<u64>],
+    fault: (NetId, bool),
+) -> SimBlock<W> {
+    std::array::from_fn(|g| {
+        let faulty = nl.eval_all_stuck(&blocks[g], fault);
+        nl.outputs().iter().fold(0, |d, o| d | (goods[g][o.index()] ^ faulty[o.index()]))
+    })
+}
+
 /// Runs every fault under `kernel` and the scalar kernel at width `W`,
 /// asserting byte-identical detection words and net values for walks
 /// seeded at the fault site, and identical detection words for walks
-/// seeded at its fanout-free region's stem.
+/// seeded at its fanout-free region's stem. Both walks also run with an
+/// exit at the lowest lane of each lane group's mask: their detection
+/// words must be identical across kernels and keep each group's oracle
+/// verdict and first detecting lane.
 fn assert_kernel_matches_scalar<const W: usize>(
     nl: &Netlist,
     kernel: SimdKernel,
@@ -72,16 +91,16 @@ fn assert_kernel_matches_scalar<const W: usize>(
     let mut simd_sim = FaultSim::new(nl);
     prop_assert!(simd_sim.set_kernel(kernel), "{} unavailable", kernel.name());
 
-    let mut a = WideScratch::<W>::new();
-    let mut b = WideScratch::<W>::new();
+    let mut a = SimScratch::<W>::new();
+    let mut b = SimScratch::<W>::new();
     for net in 0..nl.num_nets() as u32 {
         let net = NetId(net);
         for stuck in [false, true] {
             // Value-exact walk from the site, seeded with its
             // excitation lanes.
             let excite = packed[net.index()].map(|g| if stuck { !g } else { g });
-            scalar_sim.seeded_walk_wide(&packed, net, excite, &mut a);
-            simd_sim.seeded_walk_wide(&packed, net, excite, &mut b);
+            scalar_sim.seeded_walk(&packed, net, excite, [0; W], &mut a);
+            simd_sim.seeded_walk(&packed, net, excite, [0; W], &mut b);
             prop_assert_eq!(
                 a.detect_words(),
                 b.detect_words(),
@@ -108,8 +127,8 @@ fn assert_kernel_matches_scalar<const W: usize>(
             // first detecting block and lane).
             let mut mask = excite;
             let stem = scalar_sim.sensitize(&packed, net, &mut mask);
-            scalar_sim.seeded_walk_wide(&packed, stem, mask, &mut a);
-            simd_sim.seeded_walk_wide(&packed, stem, mask, &mut b);
+            scalar_sim.seeded_walk(&packed, stem, mask, [0; W], &mut a);
+            simd_sim.seeded_walk(&packed, stem, mask, [0; W], &mut b);
             prop_assert_eq!(
                 a.detect_words(),
                 b.detect_words(),
@@ -119,6 +138,38 @@ fn assert_kernel_matches_scalar<const W: usize>(
                 net,
                 u8::from(stuck)
             );
+            // The same walks, exiting once the lowest lane of each lane
+            // group's mask is observed.
+            let oracle = oracle_words::<W>(nl, &blocks, &goods, (net, stuck));
+            for (seed, diff) in [(net, excite), (stem, mask)] {
+                let exit = diff.map(|m| m & m.wrapping_neg());
+                scalar_sim.seeded_walk(&packed, seed, diff, exit, &mut a);
+                simd_sim.seeded_walk(&packed, seed, diff, exit, &mut b);
+                prop_assert_eq!(
+                    a.detect_words(),
+                    b.detect_words(),
+                    "{} W={} exit walk words from {} for ({}, sa{})",
+                    kernel.name(),
+                    W,
+                    seed,
+                    net,
+                    u8::from(stuck)
+                );
+                for (g, (word, want)) in b.detect_words().iter().zip(oracle).enumerate() {
+                    let word = word & diff[g];
+                    prop_assert_eq!(
+                        (word != 0, word.trailing_zeros()),
+                        (want != 0, want.trailing_zeros()),
+                        "{} W={} exit walk from {} for ({}, sa{}), lane group {}",
+                        kernel.name(),
+                        W,
+                        seed,
+                        net,
+                        u8::from(stuck),
+                        g
+                    );
+                }
+            }
         }
     }
     Ok(())
@@ -134,6 +185,7 @@ proptest! {
     ) {
         let nl = random_netlist(shape_seed);
         for kernel in SimdKernel::available() {
+            assert_kernel_matches_scalar::<1>(&nl, kernel, pattern_seed)?;
             assert_kernel_matches_scalar::<2>(&nl, kernel, pattern_seed)?;
             assert_kernel_matches_scalar::<4>(&nl, kernel, pattern_seed)?;
             assert_kernel_matches_scalar::<8>(&nl, kernel, pattern_seed)?;
